@@ -7,6 +7,8 @@
 ///    addition is atomic or plain depending on the active strategy;
 ///  - arg_gbl(target, op): global reduction, as Reducer<T>.
 
+#include <atomic>
+
 #include "core/reducer.hpp"
 #include "op2/dat.hpp"
 #include "op2/set.hpp"

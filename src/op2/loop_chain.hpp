@@ -7,9 +7,10 @@
 /// intermediates stay register/L1-resident instead of making a DRAM
 /// round trip per loop. Element-wise fusion of direct loops is always
 /// legal - every access of element e touches only e's own values, so
-/// per-element program order preserves RAW/WAR/WAW exactly, and each
-/// global reduction still combines its elements in sweep order
-/// (bit-exact under serial execution).
+/// per-element program order preserves RAW/WAR/WAW exactly. Global
+/// reductions of a fused sweep accumulate per element and fold in index
+/// blocks (core/reducer.hpp), so the result is independent of the
+/// thread count and schedule.
 ///
 /// Segments split where fusion stops being element-local:
 ///  - any indirect or INC argument (values of mapped neighbours may be
@@ -24,6 +25,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -67,13 +69,20 @@ class LoopChain {
       par_loop(*ctx, meta, *set_p, kernel, args...);
       ctx->opt.record = rec;
     };
-    q.make_invoke = [kernel, args...] {
-      auto binders = std::make_tuple(detail::make_binder(args, true)...);
-      return std::function<void(std::size_t)>(
+    q.make_invoke = [kernel, args...](std::size_t n) {
+      auto binders = std::make_shared<
+          std::tuple<decltype(detail::make_binder(args, true))...>>(
+          detail::make_binder(args, true)...);
+      std::apply([n](auto&... b) { (start_slots(b, n), ...); }, *binders);
+      return FusedLoop{
           [binders, kernel](std::size_t e) {
-            std::apply([&](const auto&... b) { kernel(b.make(e, false)...); },
-                       binders);
-          });
+            std::apply([&](auto&... b) { kernel(b.make(e, false)...); },
+                       *binders);
+          },
+          [binders] {
+            std::apply([](const auto&... b) { (fold_elements(b), ...); },
+                       *binders);
+          }};
     };
     queued_.push_back(std::move(q));
   }
@@ -161,14 +170,21 @@ class LoopChain {
   }
 
  private:
+  /// One loop of a fused sweep: the per-element kernel call, and the
+  /// fold of its reductions' element slots once the sweep is done.
+  struct FusedLoop {
+    std::function<void(std::size_t)> invoke;
+    std::function<void()> finish;
+  };
+
   struct Queued {
     Set* set = nullptr;
     bool fusable = true;
     ops::dataflow::Node node;
     std::function<void()> run_full;
-    /// Deferred binder construction: dat base pointers are resolved at
-    /// execute time, not capture time.
-    std::function<std::function<void(std::size_t)>()> make_invoke;
+    /// Deferred binder construction for an n-element sweep: dat base
+    /// pointers are resolved at execute time, not capture time.
+    std::function<FusedLoop(std::size_t n)> make_invoke;
   };
 
   struct Telemetry {
@@ -221,12 +237,13 @@ class LoopChain {
     last_.eliminated_bytes += fusable_bytes;
     if (!live) return;
 
-    std::vector<std::function<void(std::size_t)>> inv;
-    inv.reserve(e - b);
-    for (std::size_t i = b; i < e; ++i) inv.push_back(queued_[i].make_invoke());
     const std::size_t n = queued_[b].set->size();
+    std::vector<FusedLoop> inv;
+    inv.reserve(e - b);
+    for (std::size_t i = b; i < e; ++i)
+      inv.push_back(queued_[i].make_invoke(n));
     auto invoke_all = [&](std::size_t el) {
-      for (const auto& f : inv) f(el);
+      for (const auto& f : inv) f.invoke(el);
     };
     switch (ctx_->opt.exec) {
       case Exec::Serial:
@@ -245,6 +262,7 @@ class LoopChain {
                                  });
         break;
     }
+    for (const auto& f : inv) f.finish();
   }
 
   Context* ctx_;

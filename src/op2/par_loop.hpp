@@ -76,15 +76,6 @@ struct IncBinder {
 };
 
 template <typename T>
-struct GblBinder {
-  T* target;
-  RedOp op;
-  [[nodiscard]] Reducer<T> make(std::size_t, bool) const {
-    return Reducer<T>(target, op);
-  }
-};
-
-template <typename T>
 DirectBinder<T> make_binder(const DirectArg<T>& a, bool executing) {
   return {executing ? a.dat->elem(0) : nullptr, a.dat->dim()};
 }
@@ -94,9 +85,53 @@ IndirectBinder<T> make_binder(const IndirectArg<T>& a, bool executing) {
     throw std::invalid_argument("use arg_inc() for INC access");
   return {executing ? a.dat->elem(0) : nullptr, a.dat->dim(), a.map, a.idx};
 }
+/// Global reductions run through the blocks of core/reducer.hpp:
+/// 1024-element blocks by element index on ascending sweeps, element
+/// slots folded in the same blocks under colourings and staging.
 template <typename T>
-GblBinder<T> make_binder(const GblArg<T>& a, bool) {
-  return {a.target, a.op};
+BlockedTarget<T> make_binder(const GblArg<T>& a, bool) {
+  return BlockedTarget<T>(a.target, a.op);
+}
+
+template <typename A>
+struct is_gbl_arg : std::false_type {};
+template <typename T>
+struct is_gbl_arg<GblArg<T>> : std::true_type {};
+
+/// Ascending sweep over positions [0, count) of a loop with global
+/// reductions: one task per reduction block, on the context's executor.
+/// invoke(views, i) runs the kernel for position i.
+template <typename... B, typename Invoke>
+void blocked_sweep(Context& ctx, const char* name, std::tuple<B...>& binders,
+                   std::size_t count, const rt::autotune::VariantParams& vp,
+                   Invoke&& invoke) {
+  const ReduceBlocks blocks(1, count);
+  rt::ScopedGrainScale per_block(kReduceBlock);
+  auto launch = [&](std::size_t nblocks, const auto& run) {
+    switch (ctx.opt.exec) {
+      case Exec::Serial:
+        for (std::size_t k = 0; k < nblocks; ++k) run(k);
+        break;
+      case Exec::Threads:
+        rt::ThreadPool::global().parallel_for(
+            nblocks, [&](std::size_t kb, std::size_t ke) {
+              for (std::size_t k = kb; k < ke; ++k) run(k);
+            });
+        break;
+      case Exec::Sycl:
+        ctx.queue.parallel_for(name, sycl::range<1>(nblocks),
+                               [&](sycl::item<1> it) {
+                                 run(it.get_linear_id());
+                               });
+        break;
+    }
+  };
+  run_blocked(binders, blocks.count(), launch,
+              [&](auto& views, std::size_t k) {
+                rt::autotune::run_span_variant(
+                    vp, blocks.begin(k), blocks.end(k),
+                    [&](std::size_t i) { invoke(views, i); });
+              });
 }
 
 /// INC arguments get their own type so the kernel parameter is Inc<T>.
@@ -415,8 +450,7 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   auto binders = std::make_tuple(detail::make_binder(args, true)...);
   const bool atomic = conflict != nullptr && strat == Strategy::Atomics;
   auto invoke = [&](std::size_t e) {
-    std::apply([&](const auto&... b) { kernel(b.make(e, atomic)...); },
-               binders);
+    std::apply([&](auto&... b) { kernel(b.make(e, atomic)...); }, binders);
   };
 
   // Parallel sweep over an index list (or the identity when null).
@@ -447,15 +481,29 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
     }
   };
 
+  constexpr bool has_gbl = (detail::is_gbl_arg<Args>::value || ...);
   if (conflict == nullptr || strat == Strategy::Atomics ||
       strat == Strategy::None) {
-    sweep(nullptr, n);
+    if constexpr (has_gbl) {
+      detail::blocked_sweep(
+          ctx, meta.name, binders, n, vp, [&](auto& views, std::size_t e) {
+            std::apply([&](auto&... b) { kernel(b.make(e, atomic)...); },
+                       views);
+          });
+    } else {
+      sweep(nullptr, n);
+    }
     return;
   }
+
+  // Coloured sweeps visit elements out of index order: reductions go
+  // through element slots, folded in index blocks once all colours ran.
+  std::apply([n](auto&... b) { (start_slots(b, n), ...); }, binders);
 
   if (strat == Strategy::GlobalColor) {
     for (const auto& elems : plan->elements_by_colour)
       sweep(&elems, elems.size());
+    std::apply([](const auto&... b) { (fold_elements(b), ...); }, binders);
     return;
   }
 
@@ -507,6 +555,7 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
       }
     }
   }
+  std::apply([](const auto&... b) { (fold_elements(b), ...); }, binders);
 }
 
 /// par_loop over an explicit subset of `set`'s elements. The dist
@@ -543,29 +592,40 @@ void par_loop_subset(Context& ctx, Meta meta, Set& set,
         "par_loop_subset: INC needs Strategy::Atomics (or serial execution)");
 
   auto binders = std::make_tuple(detail::make_binder(args, true)...);
-  auto invoke = [&](std::size_t e) {
-    std::apply([&](const auto&... b) { kernel(b.make(e, atomic)...); },
-               binders);
-  };
+  if constexpr ((detail::is_gbl_arg<Args>::value || ...)) {
+    // Reduction blocks are 1024-runs of subset positions.
+    detail::blocked_sweep(
+        ctx, meta.name, binders, elems.size(), {},
+        [&](auto& views, std::size_t i) {
+          const auto e = static_cast<std::size_t>(elems[i]);
+          std::apply([&](auto&... b) { kernel(b.make(e, atomic)...); },
+                     views);
+        });
+  } else {
+    auto invoke = [&](std::size_t e) {
+      std::apply([&](const auto&... b) { kernel(b.make(e, atomic)...); },
+                 binders);
+    };
 
-  switch (ctx.opt.exec) {
-    case Exec::Serial:
-      for (int e : elems) invoke(static_cast<std::size_t>(e));
-      break;
-    case Exec::Threads:
-      rt::ThreadPool::global().parallel_for(
-          elems.size(), [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i)
-              invoke(static_cast<std::size_t>(elems[i]));
-          });
-      break;
-    case Exec::Sycl:
-      ctx.queue.parallel_for(meta.name, sycl::range<1>(elems.size()),
-                             [&](sycl::item<1> it) {
-                               invoke(static_cast<std::size_t>(
-                                   elems[it.get_linear_id()]));
-                             });
-      break;
+    switch (ctx.opt.exec) {
+      case Exec::Serial:
+        for (int e : elems) invoke(static_cast<std::size_t>(e));
+        break;
+      case Exec::Threads:
+        rt::ThreadPool::global().parallel_for(
+            elems.size(), [&](std::size_t b, std::size_t e) {
+              for (std::size_t i = b; i < e; ++i)
+                invoke(static_cast<std::size_t>(elems[i]));
+            });
+        break;
+      case Exec::Sycl:
+        ctx.queue.parallel_for(meta.name, sycl::range<1>(elems.size()),
+                               [&](sycl::item<1> it) {
+                                 invoke(static_cast<std::size_t>(
+                                     elems[it.get_linear_id()]));
+                               });
+        break;
+    }
   }
 }
 

@@ -15,6 +15,8 @@
 ///     worker walks the whole arena in order but applies only the
 ///     updates landing in its target range - so the result is
 ///     bit-identical to the serial eager schedule at any thread count.
+///     Global reductions likewise land in element slots and fold in
+///     index blocks (core/reducer.hpp) after the last super-tile.
 /// A super-tile's arena (nthreads x a few tiles) stays cache-resident;
 /// the hwmodel charges this scratch traffic to the L1 term on CPUs and
 /// penalizes the partitioned re-scan on GPUs (device_model.cpp).
@@ -50,15 +52,25 @@ struct IncArena {
 struct NoArena {};
 
 template <typename T>
-IncArena<T> make_arena(const IncArg<T>& a, std::size_t slots) {
+IncArena<T> make_arena(const IncArg<T>& a, std::size_t slots, std::size_t) {
   return {std::vector<T>(slots * static_cast<std::size_t>(a.dat->dim()))};
 }
 template <typename T>
-NoArena make_arena(const DirectArg<T>&, std::size_t) { return {}; }
+NoArena make_arena(const DirectArg<T>&, std::size_t, std::size_t) {
+  return {};
+}
 template <typename T>
-NoArena make_arena(const IndirectArg<T>&, std::size_t) { return {}; }
+NoArena make_arena(const IndirectArg<T>&, std::size_t, std::size_t) {
+  return {};
+}
+/// Global reductions stage through element slots over the whole loop
+/// (core/reducer.hpp), folded in index blocks after the last tile.
 template <typename T>
-NoArena make_arena(const GblArg<T>&, std::size_t) { return {}; }
+BlockedTarget<T> make_arena(const GblArg<T>& a, std::size_t, std::size_t n) {
+  BlockedTarget<T> slots(a.target, a.op);
+  slots.start(n);
+  return slots;
+}
 
 // --- tile views: what the kernel sees during a phase-A tile sweep -----------
 
@@ -153,11 +165,9 @@ struct IncTileView {
 
 template <typename T>
 struct GblTileView {
-  T* target;
-  RedOp op;
-  GblTileView(const GblArg<T>& a) : target(a.target), op(a.op) {}
-  [[nodiscard]] Reducer<T> make(std::size_t, bool) const {
-    return Reducer<T>(target, op);
+  BlockedTarget<T>* slots;
+  [[nodiscard]] Reducer<T> make(std::size_t e, bool) const {
+    return slots->make(e);
   }
   void flush() {}
 };
@@ -179,9 +189,9 @@ IncTileView<T> make_tile_view(const IncArg<T>& a, IncArena<T>& arena,
   return IncTileView<T>(a, arena, arena_slot, b, e);
 }
 template <typename T>
-GblTileView<T> make_tile_view(const GblArg<T>& a, NoArena&, std::size_t,
-                              std::size_t, std::size_t) {
-  return GblTileView<T>(a);
+GblTileView<T> make_tile_view(const GblArg<T>&, BlockedTarget<T>& slots,
+                              std::size_t, std::size_t, std::size_t) {
+  return GblTileView<T>{&slots};
 }
 
 // --- phase B: ordered scatter of one element's increments -------------------
@@ -200,9 +210,9 @@ inline void scatter_inc_elem(const IncArg<T>& a, const IncArena<T>& arena,
   for (std::size_t c = 0; c < dim; ++c)
     a.dat->at(t, static_cast<int>(c)) += src[c];
 }
-template <typename A>
-inline void scatter_inc_elem(const A&, const NoArena&, std::size_t,
-                             std::size_t, std::size_t, std::size_t) {}
+template <typename A, typename Arena>
+inline void scatter_inc_elem(const A&, const Arena&, std::size_t, std::size_t,
+                             std::size_t, std::size_t) {}
 
 /// Number of target partitions phase B scans with. One partition per
 /// worker; the arena re-read is shared-cache-resident, so extra
@@ -232,7 +242,9 @@ void staged_loop(Context& ctx, const char* name, std::size_t n,
   const std::size_t super = ktiles * tile;
 
   auto arenas = std::apply(
-      [&](const auto&... a) { return std::make_tuple(make_arena(a, super)...); },
+      [&](const auto&... a) {
+        return std::make_tuple(make_arena(a, super, n)...);
+      },
       args);
 
   constexpr auto idx = std::index_sequence_for<Args...>{};
@@ -320,6 +332,7 @@ void staged_loop(Context& ctx, const char* name, std::size_t n,
         break;
     }
   }
+  std::apply([](const auto&... a) { (fold_elements(a), ...); }, arenas);
 }
 
 }  // namespace syclport::op2::detail

@@ -6,7 +6,8 @@
 ///  - ACC<T>: the positioned accessor kernels index with relative
 ///    offsets, fastest dimension first: acc(dx[,dy[,dz]]) and the
 ///    multi-component form acc(c, dx[,dy[,dz]]);
-///  - Reducer<T>: the kernel-side combiner (atomic, backend-agnostic).
+///  - Reducer<T>: the kernel-side combiner, a plain handle onto one
+///    reduction block's private accumulator (core/reducer.hpp).
 
 #include <cstddef>
 

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
@@ -235,19 +234,18 @@ struct DatBinder {
   }
 };
 
+/// A reduction's rank-local partial. The rank sweeps its points on one
+/// thread at a time (the overlap path joins the interior command before
+/// the shell), so the local is a single block of core/reducer.hpp; the
+/// ranks then combine in rank order through Comm::allreduce.
 template <typename T>
 struct RedBinder {
   T* target;
   RedOp op;
-  std::shared_ptr<T> local = std::make_shared<T>();
+  std::shared_ptr<T> local;
 
-  RedBinder(T* t, RedOp o) : target(t), op(o) {
-    switch (op) {
-      case RedOp::Sum: *local = T{}; break;
-      case RedOp::Min: *local = std::numeric_limits<T>::max(); break;
-      case RedOp::Max: *local = std::numeric_limits<T>::lowest(); break;
-    }
-  }
+  RedBinder(T* t, RedOp o)
+      : target(t), op(o), local(std::make_shared<T>(red_identity<T>(o))) {}
   void prepare() const {}
   void begin_halo(std::vector<std::function<void()>>&) const {}
   void declare(sycl::handler& h) const {
@@ -263,7 +261,7 @@ struct RedBinder {
         *local, op == RedOp::Sum   ? mpi::Op::Sum
                 : op == RedOp::Min ? mpi::Op::Min
                                    : mpi::Op::Max);
-    Reducer<T>(target, op).combine(global);
+    *target = red_apply(op, *target, global);
   }
   void offer_iter(IterSpace&) const {}
 };

@@ -333,8 +333,12 @@ class LoopChain {
       for (const auto& [id, v] : per_dat) row_bytes += v;
     }
 
+    // A 1D loop's only dimension is the tiled one, so tiles would cut
+    // its reduction blocks (core/reducer.hpp) and change the fold; a
+    // 1D segment closed by a reduction runs untiled.
+    const bool cuts_blocks = dims == 1 && nodes[e - 1].reduction;
     std::size_t tile = 0;
-    if (fuse) {
+    if (fuse && !cuts_blocks) {
       if (forced_tile)
         tile = *forced_tile;
       else if (n > 1 && fusable > 0.0)

@@ -85,15 +85,6 @@ struct DatBinder {
 };
 
 template <typename T>
-struct RedBinder {
-  T* target;
-  RedOp op;
-  [[nodiscard]] Reducer<T> make(long, long, long) const {
-    return Reducer<T>(target, op);
-  }
-};
-
-template <typename T>
 DatBinder<T> make_binder(const DatArg<T>& a, bool executing) {
   const int dims = a.dat->block().dims();
   return DatBinder<T>{executing ? a.dat->origin() : nullptr, a.dat->stride_slow(),
@@ -101,13 +92,14 @@ DatBinder<T> make_binder(const DatArg<T>& a, bool executing) {
 }
 
 template <typename T>
-RedBinder<T> make_binder(const RedArg<T>& a, bool /*executing*/) {
-  return RedBinder<T>{a.target, a.op};
+BlockedTarget<T> make_binder(const RedArg<T>& a, bool /*executing*/) {
+  return BlockedTarget<T>(a.target, a.op);
 }
 
-/// Does the argument pack contain a reduction? Reduction loops keep the
-/// ascending-order-only variant axes but must not race the cache-block
-/// axis (its traversal reorder would change accumulation order).
+/// Does the argument pack contain a reduction? Reduction loops run over
+/// the index blocks of core/reducer.hpp; they keep the ascending-order
+/// variant axes but must not race the cache-block axis (its traversal
+/// reorder would change accumulation order).
 template <typename A>
 struct is_red_arg : std::false_type {};
 template <typename T>
@@ -235,12 +227,14 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
   site.name = meta.name;
   site.dims = dims;
   site.global = ext;
-  site.nd = ctx.opt.backend == Backend::SyclNd;
   // Flat sweeps (pool and SYCL flat lowerings) additionally race the
   // kernel-variant menu, and - for independent-point multi-dimensional
   // loops - the cache-blocked traversal. The Serial backend stays the
   // pure reference loop, and nd_range keeps its shape contract.
+  // Reduction loops launch over their block grid on every backend, so
+  // they have no work-group shape to tune.
   constexpr bool has_red = (detail::is_red_arg<Args>::value || ...);
+  site.nd = ctx.opt.backend == Backend::SyclNd && !has_red;
   const bool flat_sweep = ctx.opt.backend == Backend::Threads ||
                           ctx.opt.backend == Backend::MPI ||
                           ctx.opt.backend == Backend::MPIThreads ||
@@ -254,13 +248,20 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
   rt::autotune::TunedLaunchParams sched_scope(site, ctx.opt.schedule,
                                               ctx.opt.grain);
 
+  rt::autotune::VariantParams vp;
+  std::size_t cb = 0;
+  if (sched_scope.phase() != rt::autotune::Phase::None) {
+    const auto& cfg = sched_scope.config();
+    vp.reg_tile = cfg.reg_tile.value_or(1);
+    vp.vec_width = cfg.vec_width.value_or(1);
+    vp.unroll = cfg.unroll.value_or(1);
+    cb = cfg.cache_block.value_or(0);
+  }
+
   auto binders = std::make_tuple(detail::make_binder(args, true)...);
-  auto invoke = [&](long i0, long i1, long i2) {
-    std::apply(
-        [&](const auto&... b) { kernel(b.make(i0, i1, i2)...); }, binders);
-  };
   // Iteration coordinates are offset by r.lo; delinearize over ext.
-  auto invoke_linear = [&](std::size_t lin) {
+  // `bound` is the binder tuple, or one reduction block's views of it.
+  auto invoke_linear = [&](auto& bound, std::size_t lin) {
     long i2 = 0, i1 = 0, i0 = 0;
     if (dims == 1) {
       i0 = static_cast<long>(lin);
@@ -273,120 +274,153 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
       i1 = static_cast<long>(rest % ext[1]);
       i0 = static_cast<long>(rest / ext[1]);
     }
-    invoke(r.lo[0] + i0, r.lo[1] + i1, r.lo[2] + i2);
+    std::apply(
+        [&](auto&... b) {
+          kernel(b.make(r.lo[0] + i0, r.lo[1] + i1, r.lo[2] + i2)...);
+        },
+        bound);
   };
 
-  switch (ctx.opt.backend) {
-    case Backend::Serial:
-      for (std::size_t lin = 0; lin < total; ++lin) invoke_linear(lin);
-      break;
-    case Backend::Threads:
-    case Backend::MPI:
-    case Backend::MPIThreads: {
-      // MPI backends are semantically identical sweeps on shared memory;
-      // their decomposition cost is carried by the recorded halo profile.
-      rt::autotune::VariantParams vp;
-      std::size_t cb = 0;
-      if (sched_scope.phase() != rt::autotune::Phase::None) {
-        const auto& cfg = sched_scope.config();
-        vp.reg_tile = cfg.reg_tile.value_or(1);
-        vp.vec_width = cfg.vec_width.value_or(1);
-        vp.unroll = cfg.unroll.value_or(1);
-        cb = cfg.cache_block.value_or(0);
+  if constexpr (has_red) {
+    // Blocked reduction (core/reducer.hpp): rows are the slowest
+    // dimension, so a LoopChain tile - a run of consecutive rows -
+    // folds exactly the partials of the same rows of the whole loop.
+    const std::size_t rows = dims == 1 ? 1 : ext[0];
+    const ReduceBlocks blocks(rows, total / rows);
+    rt::ScopedGrainScale per_block(kReduceBlock);
+    auto launch = [&](std::size_t nblocks, const auto& run) {
+      switch (ctx.opt.backend) {
+        case Backend::Serial:
+          for (std::size_t k = 0; k < nblocks; ++k) run(k);
+          break;
+        case Backend::Threads:
+        case Backend::MPI:
+        case Backend::MPIThreads:
+          rt::ThreadPool::global().parallel_for(
+              nblocks, [&](std::size_t kb, std::size_t ke) {
+                for (std::size_t k = kb; k < ke; ++k) run(k);
+              });
+          break;
+        case Backend::SyclFlat:
+        case Backend::SyclNd:
+          ctx.queue.parallel_for(
+              meta.name, sycl::range<1>(nblocks),
+              [&](sycl::item<1> it) { run(it.get_linear_id()); });
+          break;
       }
-      const std::size_t fast = ext[static_cast<std::size_t>(dims - 1)];
-      if (dims >= 2 && cb > 0 && cb < fast) {
-        rt::autotune::blocked_parallel_for(total / fast, fast, cb, vp,
-                                           invoke_linear);
-      } else {
-        rt::ThreadPool::global().parallel_for(
-            total, [&](std::size_t b, std::size_t e) {
-              rt::autotune::run_span_variant(vp, b, e, invoke_linear);
-            });
-      }
-      break;
-    }
-    case Backend::SyclFlat: {
-      if (dims == 1) {
-        ctx.queue.parallel_for(meta.name, sycl::range<1>(ext[0]),
-                               [&](sycl::item<1> it) {
-                                 invoke_linear(it.get_linear_id());
-                               });
-      } else if (dims == 2) {
-        ctx.queue.parallel_for(meta.name, sycl::range<2>(ext[0], ext[1]),
-                               [&](sycl::item<2> it) {
-                                 invoke_linear(it.get_linear_id());
-                               });
-      } else {
-        ctx.queue.parallel_for(meta.name,
-                               sycl::range<3>(ext[0], ext[1], ext[2]),
-                               [&](sycl::item<3> it) {
-                                 invoke_linear(it.get_linear_id());
-                               });
-      }
-      break;
-    }
-    case Backend::SyclNd: {
-      // Pad the global range to a multiple of the tuned local shape and
-      // mask the overhang inside the kernel, as generated OPS SYCL does.
-      // nd_local is stored slow..fast for 3D; align it with this loop's
-      // dimensionality (a 2D loop uses the (mid, fast) entries, a 1D
-      // loop the fast entry only). When the autotuner serves this loop
-      // its decided shape replaces the hand-tuned Options::nd_local.
-      const std::array<std::size_t, 3>& shape =
-          sched_scope.phase() != rt::autotune::Phase::None &&
-                  sched_scope.config().local
-              ? *sched_scope.config().local
-              : ctx.opt.nd_local;
-      std::array<std::size_t, 3> local{1, 1, 1};
-      for (int d = 0; d < dims; ++d)
-        local[static_cast<std::size_t>(d)] = std::max<std::size_t>(
-            1, shape[static_cast<std::size_t>(3 - dims + d)]);
-      auto padded = ext;
-      for (int d = 0; d < dims; ++d) {
-        const auto l = local[static_cast<std::size_t>(d)];
-        auto& p = padded[static_cast<std::size_t>(d)];
-        p = (p + l - 1) / l * l;
-      }
-      auto body = [&](auto it) {
-        std::size_t lin = 0;
-        bool inside = true;
-        if constexpr (std::is_same_v<decltype(it), sycl::nd_item<1>>) {
-          const auto g0 = it.get_global_id(0);
-          inside = g0 < ext[0];
-          lin = g0;
-        } else if constexpr (std::is_same_v<decltype(it), sycl::nd_item<2>>) {
-          const auto g0 = it.get_global_id(0), g1 = it.get_global_id(1);
-          inside = g0 < ext[0] && g1 < ext[1];
-          lin = g0 * ext[1] + g1;
+    };
+    run_blocked(binders, blocks.count(), launch,
+                [&](auto& views, std::size_t k) {
+                  rt::autotune::run_span_variant(
+                      vp, blocks.begin(k), blocks.end(k),
+                      [&](std::size_t lin) { invoke_linear(views, lin); });
+                });
+  } else {
+    auto invoke = [&](std::size_t lin) { invoke_linear(binders, lin); };
+
+    switch (ctx.opt.backend) {
+      case Backend::Serial:
+        for (std::size_t lin = 0; lin < total; ++lin) invoke(lin);
+        break;
+      case Backend::Threads:
+      case Backend::MPI:
+      case Backend::MPIThreads: {
+        // MPI backends are semantically identical sweeps on shared memory;
+        // their decomposition cost is carried by the recorded halo profile.
+        const std::size_t fast = ext[static_cast<std::size_t>(dims - 1)];
+        if (dims >= 2 && cb > 0 && cb < fast) {
+          rt::autotune::blocked_parallel_for(total / fast, fast, cb, vp,
+                                             invoke);
         } else {
-          const auto g0 = it.get_global_id(0), g1 = it.get_global_id(1),
-                     g2 = it.get_global_id(2);
-          inside = g0 < ext[0] && g1 < ext[1] && g2 < ext[2];
-          lin = (g0 * ext[1] + g1) * ext[2] + g2;
+          rt::ThreadPool::global().parallel_for(
+              total, [&](std::size_t b, std::size_t e) {
+                rt::autotune::run_span_variant(vp, b, e, invoke);
+              });
         }
-        if (inside) invoke_linear(lin);
-      };
-      if (dims == 1) {
-        ctx.queue.parallel_for(
-            meta.name,
-            sycl::nd_range<1>(sycl::range<1>(padded[0]),
-                              sycl::range<1>(local[0])),
-            [&](sycl::nd_item<1> it) { body(it); });
-      } else if (dims == 2) {
-        ctx.queue.parallel_for(
-            meta.name,
-            sycl::nd_range<2>(sycl::range<2>(padded[0], padded[1]),
-                              sycl::range<2>(local[0], local[1])),
-            [&](sycl::nd_item<2> it) { body(it); });
-      } else {
-        ctx.queue.parallel_for(
-            meta.name,
-            sycl::nd_range<3>(sycl::range<3>(padded[0], padded[1], padded[2]),
-                              sycl::range<3>(local[0], local[1], local[2])),
-            [&](sycl::nd_item<3> it) { body(it); });
+        break;
       }
-      break;
+      case Backend::SyclFlat: {
+        if (dims == 1) {
+          ctx.queue.parallel_for(meta.name, sycl::range<1>(ext[0]),
+                                 [&](sycl::item<1> it) {
+                                   invoke(it.get_linear_id());
+                                 });
+        } else if (dims == 2) {
+          ctx.queue.parallel_for(meta.name, sycl::range<2>(ext[0], ext[1]),
+                                 [&](sycl::item<2> it) {
+                                   invoke(it.get_linear_id());
+                                 });
+        } else {
+          ctx.queue.parallel_for(meta.name,
+                                 sycl::range<3>(ext[0], ext[1], ext[2]),
+                                 [&](sycl::item<3> it) {
+                                   invoke(it.get_linear_id());
+                                 });
+        }
+        break;
+      }
+      case Backend::SyclNd: {
+        // Pad the global range to a multiple of the tuned local shape and
+        // mask the overhang inside the kernel, as generated OPS SYCL does.
+        // nd_local is stored slow..fast for 3D; align it with this loop's
+        // dimensionality (a 2D loop uses the (mid, fast) entries, a 1D
+        // loop the fast entry only). When the autotuner serves this loop
+        // its decided shape replaces the hand-tuned Options::nd_local.
+        const std::array<std::size_t, 3>& shape =
+            sched_scope.phase() != rt::autotune::Phase::None &&
+                    sched_scope.config().local
+                ? *sched_scope.config().local
+                : ctx.opt.nd_local;
+        std::array<std::size_t, 3> local{1, 1, 1};
+        for (int d = 0; d < dims; ++d)
+          local[static_cast<std::size_t>(d)] = std::max<std::size_t>(
+              1, shape[static_cast<std::size_t>(3 - dims + d)]);
+        auto padded = ext;
+        for (int d = 0; d < dims; ++d) {
+          const auto l = local[static_cast<std::size_t>(d)];
+          auto& p = padded[static_cast<std::size_t>(d)];
+          p = (p + l - 1) / l * l;
+        }
+        auto body = [&](auto it) {
+          std::size_t lin = 0;
+          bool inside = true;
+          if constexpr (std::is_same_v<decltype(it), sycl::nd_item<1>>) {
+            const auto g0 = it.get_global_id(0);
+            inside = g0 < ext[0];
+            lin = g0;
+          } else if constexpr (std::is_same_v<decltype(it), sycl::nd_item<2>>) {
+            const auto g0 = it.get_global_id(0), g1 = it.get_global_id(1);
+            inside = g0 < ext[0] && g1 < ext[1];
+            lin = g0 * ext[1] + g1;
+          } else {
+            const auto g0 = it.get_global_id(0), g1 = it.get_global_id(1),
+                       g2 = it.get_global_id(2);
+            inside = g0 < ext[0] && g1 < ext[1] && g2 < ext[2];
+            lin = (g0 * ext[1] + g1) * ext[2] + g2;
+          }
+          if (inside) invoke(lin);
+        };
+        if (dims == 1) {
+          ctx.queue.parallel_for(
+              meta.name,
+              sycl::nd_range<1>(sycl::range<1>(padded[0]),
+                                sycl::range<1>(local[0])),
+              [&](sycl::nd_item<1> it) { body(it); });
+        } else if (dims == 2) {
+          ctx.queue.parallel_for(
+              meta.name,
+              sycl::nd_range<2>(sycl::range<2>(padded[0], padded[1]),
+                                sycl::range<2>(local[0], local[1])),
+              [&](sycl::nd_item<2> it) { body(it); });
+        } else {
+          ctx.queue.parallel_for(
+              meta.name,
+              sycl::nd_range<3>(sycl::range<3>(padded[0], padded[1], padded[2]),
+                                sycl::range<3>(local[0], local[1], local[2])),
+              [&](sycl::nd_item<3> it) { body(it); });
+        }
+        break;
+      }
     }
   }
 }

@@ -26,11 +26,11 @@
 ///     menu instantiation.
 ///
 /// Bit-exactness contract: every variant visits the span's indices in
-/// strictly ascending order, so per-chunk floating-point accumulation
-/// order is identical to the unparametrized reference loop - reductions
-/// included. Variants only change how the iterations are *structured*
-/// (tile/unroll/vector shape visible to the optimizer), never the
-/// order they are observed in. The kCacheBlock axis, which does
+/// strictly ascending order, so a reduction block (core/reducer.hpp)
+/// accumulates in the same order as the unparametrized reference loop,
+/// and every variant yields the same bits. Variants only change how the
+/// iterations are *structured* (tile/unroll/vector shape visible to the
+/// optimizer), never the order they are observed in. The kCacheBlock axis, which does
 /// reorder traversal, is therefore a separate axis that only
 /// independent-point (non-reduction) sites declare.
 
@@ -179,10 +179,7 @@ template <typename F>
 inline void blocked_parallel_for(std::size_t rows, std::size_t fast,
                                  std::size_t cb, const VariantParams& vp,
                                  F&& f /* f(std::size_t lin) */) {
-  const std::size_t item_grain = launch_params().grain;
-  const std::size_t row_grain =
-      std::max<std::size_t>(1, item_grain / std::max<std::size_t>(1, fast));
-  ScopedLaunchParams scope(std::nullopt, row_grain);
+  ScopedGrainScale scope(fast);
   ThreadPool::global().parallel_for(
       rows, [&](std::size_t rb, std::size_t re) {
         for (std::size_t jb = 0; jb < fast; jb += cb) {

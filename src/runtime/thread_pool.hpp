@@ -28,6 +28,7 @@
 /// inside a running chunk (re-entrant submission) executes inline and
 /// serially on the calling worker.
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -73,6 +74,22 @@ class ScopedLaunchParams {
 
  private:
   LaunchParams saved_;
+};
+
+/// RAII: rescale the active grain (minimum iterations per chunk) for a
+/// launch whose iterations are each `items` points wide - reduction
+/// blocks, cache-blocked rows - so a chunk still covers about the
+/// grain's worth of points.
+class ScopedGrainScale {
+ public:
+  explicit ScopedGrainScale(std::size_t items) noexcept
+      : scope_(std::nullopt,
+               std::max<std::size_t>(1, launch_params().grain /
+                                            std::max<std::size_t>(1, items))) {
+  }
+
+ private:
+  ScopedLaunchParams scope_;
 };
 
 /// RAII: while alive, every launch issued *from this thread* runs

@@ -11,7 +11,9 @@
 ///   scheduled over the thread pool and work-items may use barriers and
 ///   local memory (fiber-backed, see runtime/fiber.hpp).
 /// - reductions             : SYCL 2020 reduction objects, implemented
-///   with per-chunk/per-group partials combined under a lock.
+///   with per-block (flat) or per-group (nd_range) partials folded in
+///   index order (core/reducer.hpp), so the result is bit-identical at
+///   any schedule, grain and worker count.
 ///
 /// The handler runs in one of two modes (docs/queue.md):
 /// - immediate: kernels execute inline at the point of the
@@ -27,13 +29,13 @@
 #include <atomic>
 #include <concepts>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/reducer.hpp"
 #include "core/timing.hpp"
 #include "runtime/autotune/autotune.hpp"
 #include "runtime/autotune/variant.hpp"
@@ -194,34 +196,41 @@ void exec_flat(const device&, const char* name, const range<Dims>& r,
 template <int Dims, typename T, typename Op, typename K>
 void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
                       const reduction_descriptor<T, Op>& red, const K& k) {
-  // Reductions race the variant menu too - every variant visits its
-  // span in strictly ascending order (variant.hpp contract), so the
-  // per-chunk accumulation order is identical to the reference loop.
-  // The cache-block axis, which does reorder, is NOT declared here.
+  // The index blocks of core/reducer.hpp: each block accumulates its
+  // points in ascending order (every variant keeps that order, see
+  // variant.hpp), and the partials fold in block order - the result is
+  // independent of schedule, grain and worker count. The cache-block
+  // axis, which does reorder, is NOT declared here.
   syclport::rt::autotune::TunedLaunchParams tuned(
       exec_site(name, Dims, to3(r), false,
                 syclport::rt::autotune::kVariantAxes));
   syclport::WallTimer t;
-  std::mutex mu;
-  T acc = red.identity;
+  const std::size_t rows = Dims == 1 || r.size() == 0 ? 1 : r[0];
+  const syclport::ReduceBlocks blocks(rows, r.size() / rows);
+  std::vector<T> parts(blocks.count(), red.identity);
   const auto av = active_variant();
-  syclport::rt::ThreadPool::global().parallel_for(
-      r.size(), [&](std::size_t b, std::size_t e) {
-        reducer<T, Op> part(red.identity, red.op);
-        syclport::rt::autotune::run_span_variant(
-            av.vp, b, e, [&](std::size_t lin) {
-              const id<Dims> i = delinearize(lin, r);
-              if constexpr (std::invocable<const K&, item<Dims>,
-                                           reducer<T, Op>&>) {
-                k(item<Dims>(i, r), part);
-              } else {
-                k(i, part);
-              }
-            });
-        std::lock_guard lock(mu);
-        acc = red.op(acc, part.value());
-      });
-  *red.target = red.op(*red.target, acc);
+  {
+    syclport::rt::ScopedGrainScale per_block(syclport::kReduceBlock);
+    syclport::rt::ThreadPool::global().parallel_for(
+        blocks.count(), [&](std::size_t kb, std::size_t ke) {
+          for (std::size_t blk = kb; blk < ke; ++blk) {
+            reducer<T, Op> part(red.identity, red.op);
+            syclport::rt::autotune::run_span_variant(
+                av.vp, blocks.begin(blk), blocks.end(blk),
+                [&](std::size_t lin) {
+                  const id<Dims> i = delinearize(lin, r);
+                  if constexpr (std::invocable<const K&, item<Dims>,
+                                               reducer<T, Op>&>) {
+                    k(item<Dims>(i, r), part);
+                  } else {
+                    k(i, part);
+                  }
+                });
+            parts[blk] = part.value();
+          }
+        });
+  }
+  syclport::fold_partials(*red.target, parts, red.op);
   log_launch(name, Dims, to3(r), std::nullopt, false, true, t.seconds(),
              syclport::rt::ThreadPool::last_stats());
 }
@@ -265,8 +274,8 @@ void exec_nd_reduce(const device& dev, const char* name,
   const range<Dims> groups = ndr.get_group_range();
   const range<Dims> local = ndr.get_local_range();
   const range<Dims> global = ndr.get_global_range();
-  std::mutex mu;
-  T acc = red.identity;
+  // One partial per work-group, folded in group linear id order.
+  std::vector<T> parts(groups.size(), red.identity);
   std::atomic<bool> used_barrier{false};
   syclport::rt::ThreadPool::global().run_chunks(
       groups.size(), [&](std::size_t g) {
@@ -284,10 +293,9 @@ void exec_nd_reduce(const device& dev, const char* name,
                 part);
             });
         if (b) used_barrier.store(true, std::memory_order_relaxed);
-        std::lock_guard lock(mu);
-        acc = red.op(acc, part.value());
+        parts[g] = part.value();
       });
-  *red.target = red.op(*red.target, acc);
+  syclport::fold_partials(*red.target, parts, red.op);
   log_launch(name, Dims, to3(global), to3(local), used_barrier.load(), true,
              t.seconds(), syclport::rt::ThreadPool::last_stats());
 }

@@ -1,12 +1,16 @@
 // Unit tests for src/core: types, statistics, PP metric, support matrix,
-// report rendering.
+// report rendering, blocked reductions.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "core/pp_metric.hpp"
+#include "core/reducer.hpp"
 #include "core/report.hpp"
 #include "core/statistics.hpp"
 #include "core/support.hpp"
@@ -226,4 +230,84 @@ TEST(Report, BarsRenderValuesAndNotes) {
 TEST(Report, FormatHelpers) {
   EXPECT_EQ(sp::report::fmt(1.234, 2), "1.23");
   EXPECT_EQ(sp::report::fmt_percent(0.915, 1), "91.5%");
+}
+
+TEST(ReduceBlocks, TileEachRowWithoutCrossingIt) {
+  // 3 rows of 2500 points: 3 blocks per row (1024, 1024, 452).
+  const sp::ReduceBlocks blocks(3, 2500);
+  ASSERT_EQ(blocks.count(), 9u);
+  std::size_t next = 0;
+  for (std::size_t k = 0; k < blocks.count(); ++k) {
+    EXPECT_EQ(blocks.begin(k), next) << "k=" << k;
+    EXPECT_LE(blocks.end(k) - blocks.begin(k), sp::kReduceBlock);
+    EXPECT_EQ(blocks.begin(k) / 2500, (blocks.end(k) - 1) / 2500)
+        << "block " << k << " crosses a row";
+    next = blocks.end(k);
+  }
+  EXPECT_EQ(next, 3u * 2500u);
+  EXPECT_EQ(sp::ReduceBlocks(1, 0).count(), 0u);
+}
+
+TEST(ReduceBlocks, BlockedSumIndependentOfBlockOrder) {
+  // run_blocked folds partials in block order, so running the blocks in
+  // any order (as any schedule may) gives the same bits.
+  std::vector<double> x(5000);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::sin(0.1 * static_cast<double>(i)) * 1e6;
+  const sp::ReduceBlocks blocks(1, x.size());
+  auto run = [&](bool reverse) {
+    double sum = 0.0, mn = 1e300;
+    auto binders =
+        std::make_tuple(sp::BlockedTarget<double>(&sum, sp::RedOp::Sum),
+                        sp::BlockedTarget<double>(&mn, sp::RedOp::Min));
+    sp::run_blocked(
+        binders, blocks.count(),
+        [reverse](std::size_t n, const auto& run_block) {
+          for (std::size_t k = 0; k < n; ++k)
+            run_block(reverse ? n - 1 - k : k);
+        },
+        [&](auto& views, std::size_t k) {
+          for (std::size_t i = blocks.begin(k); i < blocks.end(k); ++i) {
+            std::get<0>(views).make(i) += x[i];
+            std::get<1>(views).make(i).combine(x[i]);
+          }
+        });
+    return std::pair(sum, mn);
+  };
+  const auto fwd = run(false), rev = run(true);
+  EXPECT_EQ(std::memcmp(&fwd.first, &rev.first, sizeof(double)), 0);
+  EXPECT_EQ(fwd.second, rev.second);
+  EXPECT_NEAR(fwd.first, [&] {
+    double s = 0.0;
+    for (double v : x) s += v;
+    return s;
+  }(), 1e-6 * std::fabs(fwd.first) + 1e-3);
+}
+
+TEST(ReduceBlocks, ElementSlotsFoldLikeBlockedSweep) {
+  // One combine per element: element slots folded in index blocks give
+  // the bits of the blocked ascending sweep.
+  std::vector<double> x(3000);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::cos(0.7 * static_cast<double>(i)) / 3.0;
+  double blocked = 0.0, slotted = 0.0;
+  {
+    auto binders =
+        std::make_tuple(sp::BlockedTarget<double>(&blocked, sp::RedOp::Sum));
+    const sp::ReduceBlocks blocks(1, x.size());
+    sp::run_blocked(
+        binders, blocks.count(),
+        [](std::size_t n, const auto& run_block) {
+          for (std::size_t k = 0; k < n; ++k) run_block(k);
+        },
+        [&](auto& views, std::size_t k) {
+          for (std::size_t i = blocks.begin(k); i < blocks.end(k); ++i)
+            std::get<0>(views).make(i) += x[i];
+        });
+  }
+  sp::BlockedTarget<double> t(&slotted, sp::RedOp::Sum);
+  t.start(x.size());
+  for (std::size_t i = x.size(); i-- > 0;) t.make(i) += x[i];  // any order
+  t.fold_elements();
+  EXPECT_EQ(std::memcmp(&blocked, &slotted, sizeof(double)), 0);
 }

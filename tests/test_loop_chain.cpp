@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -298,6 +299,86 @@ TEST(LoopChain, ReductionTerminatesSegmentAndStaysExact) {
     const auto got = run(tile);
     EXPECT_DOUBLE_EQ(got.first, ref.first) << "tile=" << tile;
     EXPECT_DOUBLE_EQ(got.second, ref.second) << "tile=" << tile;
+  }
+}
+
+TEST(LoopChain, TiledReductionOverWideRowsIsBitExactOnThreads) {
+  // Rows wider than one reduction block (1024 points): a tile is a run
+  // of whole rows, so the tiled chain folds the same block partials in
+  // the same order as the untiled loop - bit-identical on the pool, and
+  // identical to the Serial backend.
+  const long nx = 2100, ny = 9;
+  auto run = [&](ops::Backend backend, std::size_t tile) {
+    ops::Options o;
+    o.backend = backend;
+    ops::Context ctx(o);
+    ops::Block grid(ctx, "g", 2, {static_cast<std::size_t>(ny),
+                                  static_cast<std::size_t>(nx), 1});
+    ops::Dat<double> a(grid, "a", 1, 1), b(grid, "b", 1, 1);
+    for (long i = -1; i <= ny; ++i)
+      for (long j = -1; j <= nx; ++j)
+        a.at(i, j) = std::sin(0.31 * i + 0.017 * j) * 1e3;
+    double s = 0.0, mx = -1e300;
+    ops::LoopChain chain(ctx, grid);
+    chain.enqueue({"p"},
+                  [](ops::ACC<double> out, ops::ACC<double> in) {
+                    out(0, 0) = 0.5 * (in(1, 0) + in(0, -1));
+                  },
+                  ops::arg(b, ops::S_PT, ops::Acc::W),
+                  ops::arg(a, ops::S2D_5PT, ops::Acc::R));
+    chain.enqueue({"sum"},
+                  [](ops::ACC<double> x, ops::Reducer<double> r,
+                     ops::Reducer<double> m) {
+                    r += x(0, 1) / 3.0;
+                    m.combine(x(0, 0));
+                  },
+                  ops::arg(b, ops::S2D_5PT, ops::Acc::R),
+                  ops::reduce(s, ops::RedOp::Sum),
+                  ops::reduce(mx, ops::RedOp::Max));
+    chain.execute(tile);
+    return std::pair(s, mx);
+  };
+  const auto ref = run(ops::Backend::Serial, 0);
+  for (ops::Backend backend : {ops::Backend::Serial, ops::Backend::Threads})
+    for (std::size_t tile : {0u, 1u, 2u, 4u}) {
+      const auto got = run(backend, tile);
+      EXPECT_EQ(std::memcmp(&got.first, &ref.first, sizeof(double)), 0)
+          << "tile=" << tile;
+      EXPECT_EQ(got.second, ref.second) << "tile=" << tile;
+    }
+}
+
+TEST(LoopChain, OneDimensionalReductionSegmentStaysExact) {
+  // In 1D the tiled dimension is the reduction's only one, so a forced
+  // tile must not cut its blocks: the result matches the untiled chain.
+  auto run = [](std::size_t tile) {
+    ops::Options o;
+    o.backend = ops::Backend::Threads;
+    ops::Context ctx(o);
+    ops::Block grid(ctx, "g", 1, {3000, 1, 1});
+    ops::Dat<double> a(grid, "a", 1, 1), b(grid, "b", 1, 1);
+    for (long i = -1; i <= 3000; ++i) a.at(i) = std::sin(0.013 * i) * 1e4;
+    double s = 0.0;
+    ops::LoopChain chain(ctx, grid);
+    chain.enqueue({"p"},
+                  [](ops::ACC<double> out, ops::ACC<double> in) {
+                    out(0) = in(-1) / 3.0 + in(1);
+                  },
+                  ops::arg(b, ops::S_PT, ops::Acc::W),
+                  ops::arg(a, ops::star(1, 1), ops::Acc::R));
+    chain.enqueue({"sum"},
+                  [](ops::ACC<double> x, ops::Reducer<double> r) {
+                    r += x(0);
+                  },
+                  ops::arg(b, ops::S_PT, ops::Acc::R),
+                  ops::reduce(s, ops::RedOp::Sum));
+    chain.execute(tile);
+    return s;
+  };
+  const double ref = run(0);
+  for (std::size_t tile : {1u, 700u, 1500u}) {
+    const double got = run(tile);
+    EXPECT_EQ(std::memcmp(&got, &ref, sizeof(double)), 0) << "tile=" << tile;
   }
 }
 
