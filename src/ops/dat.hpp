@@ -10,6 +10,7 @@
 /// streaming-zero initialization (first-touched by the workers that
 /// will stream the field), huge pages above the threshold.
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <string>
@@ -27,13 +28,25 @@ class Dat {
         name_(std::move(name)),
         ncomp_(ncomp),
         halo_(halo) {
-    for (int d = 0; d < 3; ++d)
-      padded_[static_cast<std::size_t>(d)] =
-          d < block.dims()
-              ? block.size(d) + 2 * static_cast<std::size_t>(halo_)
-              : 1;
+    const int dims = block.dims();
+    const auto h = static_cast<std::size_t>(halo_);
+    std::array<std::size_t, 3> padded{1, 1, 1};
+    for (int d = 0; d < dims; ++d)
+      padded[static_cast<std::size_t>(d)] = block.size(d) + 2 * h;
+    // The mid stride spans one row of the fastest dimension; the slow
+    // stride a (mid x fast) plane in 3D, and equals the mid stride for
+    // lower dims, where it already is the slowest spatial stride.
+    const std::size_t fast_extent = dims == 1   ? padded[0]
+                                    : dims == 2 ? padded[1]
+                                                : padded[2];
+    s_mid_ = static_cast<std::ptrdiff_t>(fast_extent) * ncomp_;
+    s_slow_ = dims < 3 ? s_mid_
+                       : s_mid_ * static_cast<std::ptrdiff_t>(padded[1]);
+    origin_off_ = halo_ * (dims == 1   ? stride_fast()
+                           : dims == 2 ? s_mid_ + stride_fast()
+                                       : s_slow_ + s_mid_ + stride_fast());
     if (block.ctx().executing())
-      data_ = rt::mem::Array<T>(padded_[0] * padded_[1] * padded_[2] *
+      data_ = rt::mem::Array<T>(padded[0] * padded[1] * padded[2] *
                                 static_cast<std::size_t>(ncomp_));
   }
 
@@ -45,33 +58,13 @@ class Dat {
 
   /// Element strides (in T units): fastest spatial step, mid, slow.
   [[nodiscard]] std::ptrdiff_t stride_fast() const { return ncomp_; }
-  [[nodiscard]] std::ptrdiff_t stride_mid() const {
-    return static_cast<std::ptrdiff_t>(padded_[static_cast<std::size_t>(
-               block_->dims() - 1)]) *
-           ncomp_;
-  }
-  [[nodiscard]] std::ptrdiff_t stride_slow() const {
-    // 3D: slow stride spans a full (mid x fast) plane; for lower dims
-    // the mid stride already is the slowest spatial stride.
-    return block_->dims() < 3
-               ? stride_mid()
-               : stride_mid() * static_cast<std::ptrdiff_t>(padded_[1]);
-  }
+  [[nodiscard]] std::ptrdiff_t stride_mid() const { return s_mid_; }
+  [[nodiscard]] std::ptrdiff_t stride_slow() const { return s_slow_; }
 
   /// Pointer to the interior origin (all halo offsets applied).
   [[nodiscard]] T* origin() {
     assert(allocated());
-    std::ptrdiff_t off = 0;
-    const int dims = block_->dims();
-    if (dims == 1) {
-      off = halo_ * stride_fast();
-    } else if (dims == 2) {
-      off = halo_ * stride_mid() + halo_ * stride_fast();
-    } else {
-      off = halo_ * stride_slow() + halo_ * stride_mid() +
-            halo_ * stride_fast();
-    }
-    return data_.data() + off;
+    return data_.data() + origin_off_;
   }
 
   /// Interior-relative element access (slow, mid, fast ordering per the
@@ -106,20 +99,24 @@ class Dat {
   /// streaming-store path.
   void fill(T v) { data_.fill(v); }
 
-  /// Sum over the interior (validation checksums).
+  /// Sum over the interior (validation checksums), in storage order:
+  /// each interior row is one contiguous run of fast x ncomp values.
   [[nodiscard]] double interior_sum() {
-    double s = 0.0;
     const int dims = block_->dims();
-    const auto n0 = static_cast<std::ptrdiff_t>(block_->size(0));
-    const auto n1 = dims >= 2 ? static_cast<std::ptrdiff_t>(block_->size(1)) : 1;
-    const auto n2 = dims >= 3 ? static_cast<std::ptrdiff_t>(block_->size(2)) : 1;
+    const auto n0 = dims >= 2 ? static_cast<std::ptrdiff_t>(block_->size(0)) : 1;
+    const auto n1 = dims >= 3 ? static_cast<std::ptrdiff_t>(block_->size(1)) : 1;
+    const std::size_t fast = dims == 1   ? block_->size(0)
+                             : dims == 2 ? block_->size(1)
+                                         : block_->size(2);
+    const std::size_t run = fast * static_cast<std::size_t>(ncomp_);
+    const std::ptrdiff_t s0 = dims == 3 ? s_slow_ : s_mid_;
+    const T* o = origin();
+    double s = 0.0;
     for (std::ptrdiff_t a = 0; a < n0; ++a)
-      for (std::ptrdiff_t b = 0; b < n1; ++b)
-        for (std::ptrdiff_t c = 0; c < n2; ++c)
-          for (int comp = 0; comp < ncomp_; ++comp)
-            s += static_cast<double>(dims == 1   ? at(a, 0, 0, comp)
-                                     : dims == 2 ? at(a, b, 0, comp)
-                                                 : at(a, b, c, comp));
+      for (std::ptrdiff_t b = 0; b < n1; ++b) {
+        const T* row = o + a * s0 + b * s_mid_;
+        for (std::size_t i = 0; i < run; ++i) s += static_cast<double>(row[i]);
+      }
     return s;
   }
 
@@ -128,7 +125,8 @@ class Dat {
   std::string name_;
   int ncomp_;
   int halo_;
-  std::array<std::size_t, 3> padded_{1, 1, 1};
+  std::ptrdiff_t s_mid_ = 0, s_slow_ = 0;  ///< see stride_mid/stride_slow
+  std::ptrdiff_t origin_off_ = 0;         ///< interior origin in data_
   rt::mem::Array<T> data_;
 };
 

@@ -9,6 +9,12 @@
 ///      modes;
 ///   2. lowers the kernel to the configured backend (serial, threads,
 ///      SYCL flat, SYCL nd_range, MPI decompositions) and runs it.
+/// Every lowering calls the kernel through one row walker: a span of
+/// the flattened range is split at fast-dimension row ends, each row is
+/// delinearized once and every argument positioned on it, and the fast
+/// index then steps through the tuned kernel variant - one pointer
+/// offset per argument per point. Points are visited in ascending
+/// order within every span, so reductions keep their bits.
 /// This mirrors how the real OPS generates per-parallelization code
 /// from one kernel description (paper §3).
 
@@ -63,37 +69,67 @@ struct Range {
 
 namespace detail {
 
+/// A dat argument positioned on one row of the iteration range: the
+/// accessor at fast index j is one pointer offset from the row start.
 template <typename T>
-struct DatBinder {
-  T* origin;
-  std::ptrdiff_t s_slow, s_mid, s_fast;
-  int dims;
+struct DatRow {
+  T* p;
+  std::ptrdiff_t sx, sy, sz;
 
-  [[nodiscard]] ACC<T> make(long i0, long i1, long i2) const {
-    T* p = origin;
-    if (dims == 1) {
-      p += i0 * s_fast;
-      return ACC<T>(p, s_fast, 0, 0);
-    }
-    if (dims == 2) {
-      p += i0 * s_mid + i1 * s_fast;
-      return ACC<T>(p, s_fast, s_mid, 0);
-    }
-    p += i0 * s_slow + i1 * s_mid + i2 * s_fast;
-    return ACC<T>(p, s_fast, s_mid, s_slow);
+  [[nodiscard]] ACC<T> at(std::size_t j) const {
+    return ACC<T>(p + static_cast<std::ptrdiff_t>(j) * sx, sx, sy, sz);
   }
 };
 
+/// A dat argument bound to a par_loop's range. A row is named by its
+/// outer coordinates (c0, c1) relative to the range's lower corner:
+/// (slow, mid) in 3D, (slow, -) in 2D, none in 1D.
 template <typename T>
-DatBinder<T> make_binder(const DatArg<T>& a, bool executing) {
-  const int dims = a.dat->block().dims();
-  return DatBinder<T>{executing ? a.dat->origin() : nullptr, a.dat->stride_slow(),
-                      a.dat->stride_mid(), a.dat->stride_fast(), dims};
+struct DatBinder {
+  T* lo;                      ///< the point at the range's lower corner
+  std::ptrdiff_t row0, row1;  ///< strides of c0, c1 (0 where absent)
+  std::ptrdiff_t sx, sy, sz;  ///< accessor strides, fastest first
+};
+
+template <typename T>
+DatBinder<T> make_binder(const DatArg<T>& a, const Range& r) {
+  Dat<T>& d = *a.dat;
+  const int dims = d.block().dims();
+  const std::ptrdiff_t sx = d.stride_fast();
+  const std::ptrdiff_t sy = dims >= 2 ? d.stride_mid() : 0;
+  const std::ptrdiff_t sz = dims == 3 ? d.stride_slow() : 0;
+  // Range coordinates are slowest first: (x), (y, x) or (z, y, x).
+  const std::ptrdiff_t off =
+      dims == 1   ? r.lo[0] * sx
+      : dims == 2 ? r.lo[0] * sy + r.lo[1] * sx
+                  : r.lo[0] * sz + r.lo[1] * sy + r.lo[2] * sx;
+  return DatBinder<T>{d.origin() + off, dims == 3 ? sz : sy,
+                      dims == 3 ? sy : 0, sx, sy, sz};
 }
 
 template <typename T>
-BlockedTarget<T> make_binder(const RedArg<T>& a, bool /*executing*/) {
+BlockedTarget<T> make_binder(const RedArg<T>& a, const Range&) {
   return BlockedTarget<T>(a.target, a.op);
+}
+
+/// A reduction block's accumulator: the same Reducer at every point.
+template <typename T>
+struct RedRow {
+  Reducer<T> r;
+  [[nodiscard]] const Reducer<T>& at(std::size_t) const { return r; }
+};
+
+/// Position one bound argument on row (c0, c1) of the range.
+template <typename T>
+[[nodiscard]] DatRow<T> bind_row(const DatBinder<T>& b, std::size_t c0,
+                                 std::size_t c1) {
+  return {b.lo + static_cast<std::ptrdiff_t>(c0) * b.row0 +
+              static_cast<std::ptrdiff_t>(c1) * b.row1,
+          b.sx, b.sy, b.sz};
+}
+template <typename T>
+[[nodiscard]] RedRow<T> bind_row(RedBlock<T>& v, std::size_t, std::size_t) {
+  return {Reducer<T>(&v.acc, v.op)};
 }
 
 /// Does the argument pack contain a reduction? Reduction loops run over
@@ -258,27 +294,37 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
     cb = cfg.cache_block.value_or(0);
   }
 
-  auto binders = std::make_tuple(detail::make_binder(args, true)...);
-  // Iteration coordinates are offset by r.lo; delinearize over ext.
-  // `bound` is the binder tuple, or one reduction block's views of it.
-  auto invoke_linear = [&](auto& bound, std::size_t lin) {
-    long i2 = 0, i1 = 0, i0 = 0;
-    if (dims == 1) {
-      i0 = static_cast<long>(lin);
-    } else if (dims == 2) {
-      i1 = static_cast<long>(lin % ext[1]);
-      i0 = static_cast<long>(lin / ext[1]);
-    } else {
-      i2 = static_cast<long>(lin % ext[2]);
-      const std::size_t rest = lin / ext[2];
-      i1 = static_cast<long>(rest % ext[1]);
-      i0 = static_cast<long>(rest / ext[1]);
-    }
-    std::apply(
+  auto binders = std::make_tuple(detail::make_binder(args, r)...);
+  // The row walker, the only way the kernel is called. `bound` is the
+  // binder tuple, or one reduction block's views of it. bind_rows
+  // positions every argument on row (c0, c1) of the range once; the
+  // kernel at fast index j then costs one pointer offset per argument.
+  const std::size_t fast = ext[static_cast<std::size_t>(dims - 1)];
+  auto bind_rows = [&](auto& bound, std::size_t c0, std::size_t c1) {
+    return std::apply(
         [&](auto&... b) {
-          kernel(b.make(r.lo[0] + i0, r.lo[1] + i1, r.lo[2] + i2)...);
+          return std::make_tuple(detail::bind_row(b, c0, c1)...);
         },
         bound);
+  };
+  auto call_at = [&](const auto& rows, std::size_t j) {
+    std::apply([&](const auto&... rw) { kernel(rw.at(j)...); }, rows);
+  };
+  // Fast indices [jb, je) of row `row` of the flattened rows x fast
+  // space, through the tuned variant.
+  auto run_row = [&](auto& bound, std::size_t row, std::size_t jb,
+                     std::size_t je) {
+    const std::size_t c0 = dims == 3 ? row / ext[1] : row;
+    const auto rows = bind_rows(bound, c0, dims == 3 ? row - c0 * ext[1] : 0);
+    rt::autotune::run_span_variant(
+        vp, jb, je, [&](std::size_t j) { call_at(rows, j); });
+  };
+  // Any linear span [b, e), split at row ends; ascending order.
+  auto walk = [&](auto& bound, std::size_t b, std::size_t e) {
+    rt::autotune::for_each_row_segment(
+        b, e, fast, [&](std::size_t row, std::size_t jb, std::size_t je) {
+          run_row(bound, row, jb, je);
+        });
   };
 
   if constexpr (has_red) {
@@ -311,30 +357,33 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
     };
     run_blocked(binders, blocks.count(), launch,
                 [&](auto& views, std::size_t k) {
-                  rt::autotune::run_span_variant(
-                      vp, blocks.begin(k), blocks.end(k),
-                      [&](std::size_t lin) { invoke_linear(views, lin); });
+                  walk(views, blocks.begin(k), blocks.end(k));
                 });
   } else {
-    auto invoke = [&](std::size_t lin) { invoke_linear(binders, lin); };
-
+    // A SYCL work-item's one-point span, at the item's own coordinates;
+    // the handler's flat lowering runs the tuned variant around items.
+    auto run_point = [&](std::size_t c0, std::size_t c1, std::size_t j) {
+      call_at(bind_rows(binders, c0, c1), j);
+    };
     switch (ctx.opt.backend) {
       case Backend::Serial:
-        for (std::size_t lin = 0; lin < total; ++lin) invoke(lin);
+        walk(binders, 0, total);
         break;
       case Backend::Threads:
       case Backend::MPI:
       case Backend::MPIThreads: {
         // MPI backends are semantically identical sweeps on shared memory;
         // their decomposition cost is carried by the recorded halo profile.
-        const std::size_t fast = ext[static_cast<std::size_t>(dims - 1)];
         if (dims >= 2 && cb > 0 && cb < fast) {
-          rt::autotune::blocked_parallel_for(total / fast, fast, cb, vp,
-                                             invoke);
+          rt::autotune::blocked_parallel_for(
+              total / fast, fast, cb,
+              [&](std::size_t row, std::size_t jb, std::size_t je) {
+                run_row(binders, row, jb, je);
+              });
         } else {
           rt::ThreadPool::global().parallel_for(
               total, [&](std::size_t b, std::size_t e) {
-                rt::autotune::run_span_variant(vp, b, e, invoke);
+                walk(binders, b, e);
               });
         }
         break;
@@ -343,18 +392,18 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
         if (dims == 1) {
           ctx.queue.parallel_for(meta.name, sycl::range<1>(ext[0]),
                                  [&](sycl::item<1> it) {
-                                   invoke(it.get_linear_id());
+                                   run_point(0, 0, it[0]);
                                  });
         } else if (dims == 2) {
           ctx.queue.parallel_for(meta.name, sycl::range<2>(ext[0], ext[1]),
                                  [&](sycl::item<2> it) {
-                                   invoke(it.get_linear_id());
+                                   run_point(it[0], 0, it[1]);
                                  });
         } else {
           ctx.queue.parallel_for(meta.name,
                                  sycl::range<3>(ext[0], ext[1], ext[2]),
                                  [&](sycl::item<3> it) {
-                                   invoke(it.get_linear_id());
+                                   run_point(it[0], it[1], it[2]);
                                  });
         }
         break;
@@ -382,23 +431,19 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
           p = (p + l - 1) / l * l;
         }
         auto body = [&](auto it) {
-          std::size_t lin = 0;
-          bool inside = true;
           if constexpr (std::is_same_v<decltype(it), sycl::nd_item<1>>) {
             const auto g0 = it.get_global_id(0);
-            inside = g0 < ext[0];
-            lin = g0;
+            if (g0 < ext[0]) run_point(0, 0, g0);
           } else if constexpr (std::is_same_v<decltype(it), sycl::nd_item<2>>) {
             const auto g0 = it.get_global_id(0), g1 = it.get_global_id(1);
-            inside = g0 < ext[0] && g1 < ext[1];
-            lin = g0 * ext[1] + g1;
+            if (g0 < ext[0] && g1 < ext[1])
+              run_point(g0, 0, g1);
           } else {
             const auto g0 = it.get_global_id(0), g1 = it.get_global_id(1),
                        g2 = it.get_global_id(2);
-            inside = g0 < ext[0] && g1 < ext[1] && g2 < ext[2];
-            lin = (g0 * ext[1] + g1) * ext[2] + g2;
+            if (g0 < ext[0] && g1 < ext[1] && g2 < ext[2])
+              run_point(g0, g1, g2);
           }
-          if (inside) invoke(lin);
         };
         if (dims == 1) {
           ctx.queue.parallel_for(

@@ -16,12 +16,19 @@
 ///     unroll) space; the canonical executable menu (kVariantMenu) is
 ///     the closed set of template instantiations every dispatch site
 ///     compiles, so the search can only hand out variants that exist.
-///   - run_span<RT, VW, U> executes a linear index span with a
-///     constant-trip nest: RT register-tile rows x U unrolled steps x a
-///     VW-wide innermost loop (the code shape sycl::vec<double, VW>
-///     lowers to on CPUs for loads/stores and element-wise arithmetic,
-///     expressed as a constant-trip loop so the compiler vectorizes it
-///     while the *program order per element stays ascending*).
+///   - run_span<RT, VW, U> executes an index span with a constant-trip
+///     nest: RT register-tile rows x U unrolled steps x a VW-wide
+///     innermost loop (the code shape sycl::vec<double, VW> lowers to
+///     on CPUs), with the *program order per element kept ascending*.
+///     The nest only shapes the loop the optimizer sees; nothing here
+///     makes the compiler vectorize the VW loop - that is up to the
+///     kernel body it inlines.
+///   - Multi-dimensional callers (OPS par_loop, the miniSYCL flat
+///     lowerings) run it over the fast index of one row segment
+///     (for_each_row_segment / blocked_parallel_for), never across a
+///     row end, so the kernel's view is positioned once per row and
+///     each step is one fast-index increment. OP2 runs it over element
+///     spans.
 ///   - run_span_variant dispatches a runtime VariantParams onto the
 ///     menu instantiation.
 ///
@@ -34,6 +41,7 @@
 /// reorder traversal, is therefore a separate axis that only
 /// independent-point (non-reduction) sites declare.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <string>
@@ -164,28 +172,48 @@ inline void run_span_variant(const VariantParams& vp, std::size_t b,
   }
 }
 
+/// Split the linear span [b, e) of a row-major space with `fast`
+/// points per row at row ends, and call seg(row, jb, je) for each
+/// piece - row `row`, fast indices [jb, je) - in ascending order. The
+/// span is delinearized once; later pieces start at the next row's
+/// j = 0, so the pieces cover exactly the indices of [b, e).
+template <typename F>
+inline void for_each_row_segment(std::size_t b, std::size_t e,
+                                 std::size_t fast, F&& seg) {
+  if (b >= e) return;
+  std::size_t row = b / fast;
+  std::size_t j = b - row * fast;
+  while (b < e) {
+    const std::size_t je = std::min(fast, j + (e - b));
+    seg(row, j, je);
+    b += je - j;
+    ++row;
+    j = 0;
+  }
+}
+
 /// Cache-blocked traversal of a rows x fast iteration space through the
 /// thread pool (the kCacheBlock axis): parallelize over rows, and
 /// inside each row chunk walk the fast dimension in blocks of `cb`
 /// items so each block of every streamed array is still cache-resident
-/// when the next row revisits it. Each row segment runs through the
-/// variant runner. Visits every (row, j) exactly once but *reorders*
-/// the fast dimension across rows - callers only take this path for
-/// independent-point (non-reduction) kernels.
+/// when the next row revisits it. Each block of a row is handed to
+/// seg(row, jb, je) - the same row-segment callback for_each_row_segment
+/// drives, so a caller runs its variant over [jb, je) either way.
+/// Visits every (row, j) exactly once but *reorders* the fast dimension
+/// across rows - callers only take this path for independent-point
+/// (non-reduction) kernels.
 ///
 /// The active grain was tuned in items of the flat space; the row loop
 /// rescales it so a chunk still covers about the same work.
 template <typename F>
 inline void blocked_parallel_for(std::size_t rows, std::size_t fast,
-                                 std::size_t cb, const VariantParams& vp,
-                                 F&& f /* f(std::size_t lin) */) {
+                                 std::size_t cb, F&& seg) {
   ScopedGrainScale scope(fast);
   ThreadPool::global().parallel_for(
       rows, [&](std::size_t rb, std::size_t re) {
         for (std::size_t jb = 0; jb < fast; jb += cb) {
           const std::size_t je = std::min(fast, jb + cb);
-          for (std::size_t i = rb; i < re; ++i)
-            run_span_variant(vp, i * fast + jb, i * fast + je, f);
+          for (std::size_t i = rb; i < re; ++i) seg(i, jb, je);
         }
       });
 }

@@ -151,6 +151,21 @@ struct ActiveVariant {
   return out;
 }
 
+/// f(id) for the ids of row `row` of `r` (the row-major rows of its
+/// fast dimension) with fast index in [jb, je): the row is
+/// delinearized once, then the fast index steps through the variant.
+template <int Dims, typename F>
+inline void for_row_ids(const range<Dims>& r, std::size_t row, std::size_t jb,
+                        std::size_t je,
+                        const syclport::rt::autotune::VariantParams& vp,
+                        F&& f) {
+  id<Dims> i = delinearize(row * r[Dims - 1] + jb, r);
+  syclport::rt::autotune::run_span_variant(vp, jb, je, [&](std::size_t j) {
+    i[Dims - 1] = j;
+    f(i);
+  });
+}
+
 // --- kernel execution bodies, shared by both handler modes -----------------
 
 template <int Dims, typename K>
@@ -177,16 +192,19 @@ void exec_flat(const device&, const char* name, const range<Dims>& r,
   const std::size_t total = r.size();
   const auto av = active_variant();
   const std::size_t fast = r[Dims - 1];
-  auto body = [&](std::size_t lin) { invoke_flat(k, delinearize(lin, r), r); };
+  auto seg = [&](std::size_t row, std::size_t jb, std::size_t je) {
+    for_row_ids(r, row, jb, je, av.vp,
+                [&](const id<Dims>& i) { invoke_flat(k, i, r); });
+  };
   if (Dims >= 2 && av.cache_block > 0 && av.cache_block < fast && fast > 0) {
     syclport::rt::autotune::blocked_parallel_for(total / fast, fast,
-                                                 av.cache_block, av.vp, body);
+                                                 av.cache_block, seg);
   } else {
     // Templated fast path: the lambda is dispatched inline by the pool,
     // no std::function is constructed per launch or per chunk.
     syclport::rt::ThreadPool::global().parallel_for(
         total, [&](std::size_t b, std::size_t e) {
-          syclport::rt::autotune::run_span_variant(av.vp, b, e, body);
+          syclport::rt::autotune::for_each_row_segment(b, e, fast, seg);
         });
   }
   log_launch(name, Dims, to3(r), std::nullopt, false, false, t.seconds(),
@@ -215,16 +233,17 @@ void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
         blocks.count(), [&](std::size_t kb, std::size_t ke) {
           for (std::size_t blk = kb; blk < ke; ++blk) {
             reducer<T, Op> part(red.identity, red.op);
-            syclport::rt::autotune::run_span_variant(
-                av.vp, blocks.begin(blk), blocks.end(blk),
-                [&](std::size_t lin) {
-                  const id<Dims> i = delinearize(lin, r);
-                  if constexpr (std::invocable<const K&, item<Dims>,
-                                               reducer<T, Op>&>) {
-                    k(item<Dims>(i, r), part);
-                  } else {
-                    k(i, part);
-                  }
+            syclport::rt::autotune::for_each_row_segment(
+                blocks.begin(blk), blocks.end(blk), r[Dims - 1],
+                [&](std::size_t row, std::size_t jb, std::size_t je) {
+                  for_row_ids(r, row, jb, je, av.vp, [&](const id<Dims>& i) {
+                    if constexpr (std::invocable<const K&, item<Dims>,
+                                                 reducer<T, Op>&>) {
+                      k(item<Dims>(i, r), part);
+                    } else {
+                      k(i, part);
+                    }
+                  });
                 });
             parts[blk] = part.value();
           }

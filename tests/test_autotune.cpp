@@ -584,3 +584,45 @@ TEST(Autotune, VariantCandidatesStayOnTheCompiledMenu) {
   }
   EXPECT_TRUE(tuner.converged(site));
 }
+
+TEST(RowSegments, BlockedParallelForCoversEachPointOnceWithinRows) {
+  // cb = 4 does not divide fast = 13: the last block of every row is a
+  // 1-point remainder.
+  constexpr std::size_t rows = 9, fast = 13, cb = 4;
+  std::vector<std::atomic<int>> hits(rows * fast);
+  std::atomic<int> bad_segments{0};
+  at::blocked_parallel_for(rows, fast, cb,
+                           [&](std::size_t row, std::size_t jb,
+                               std::size_t je) {
+                             if (row >= rows || jb >= je || je > fast ||
+                                 je - jb > cb || jb % cb != 0)
+                               bad_segments.fetch_add(1);
+                             else
+                               for (std::size_t j = jb; j < je; ++j)
+                                 hits[row * fast + j].fetch_add(1);
+                           });
+  EXPECT_EQ(bad_segments.load(), 0);
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "row " << i / fast << " j " << i % fast;
+}
+
+TEST(RowSegments, SpansSplitAtRowEndsInAscendingOrder) {
+  // Every span [b, e) of a 6 x 5 space - including empty, mid-row and
+  // multi-row spans - must come back as its own indices, in order, in
+  // pieces that never cross a row end.
+  constexpr std::size_t rows = 6, fast = 5;
+  for (std::size_t b = 0; b <= rows * fast; ++b)
+    for (std::size_t e = b; e <= rows * fast; ++e) {
+      std::vector<std::size_t> seen;
+      at::for_each_row_segment(
+          b, e, fast, [&](std::size_t row, std::size_t jb, std::size_t je) {
+            ASSERT_LT(jb, je);
+            ASSERT_LE(je, fast);
+            for (std::size_t j = jb; j < je; ++j)
+              seen.push_back(row * fast + j);
+          });
+      ASSERT_EQ(seen.size(), e - b) << "[" << b << ", " << e << ")";
+      for (std::size_t k = 0; k < seen.size(); ++k)
+        ASSERT_EQ(seen[k], b + k) << "[" << b << ", " << e << ")";
+    }
+}

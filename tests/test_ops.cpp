@@ -1,10 +1,14 @@
 // Unit and property tests for the OPS structured-mesh DSL: dat layout,
-// par_loop execution across every backend, boundary ranges, reductions,
-// tree reduction, and LoopProfile recording.
+// par_loop execution across every backend, the row walker that calls
+// every kernel, boundary ranges, reductions, tree reduction, and
+// LoopProfile recording.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "ops/ops.hpp"
@@ -207,6 +211,155 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendSweep,
                          ::testing::ValuesIn(kBackends),
                          [](const auto& info) {
                            return backend_name(info.param);
+                         });
+
+// --- row walker -------------------------------------------------------------
+
+namespace {
+
+/// Awkward extents, so pool chunks at grain 1 or 7 start mid-row and,
+/// in 3D, cross plane boundaries.
+ops::Block walk_block(ops::Context& ctx, int dims) {
+  switch (dims) {
+    case 1: return ops::Block(ctx, "line", 1, {37, 1, 1});
+    case 2: return ops::Block(ctx, "plane", 2, {5, 13, 1});
+    default: return ops::Block(ctx, "box", 3, {4, 5, 6});
+  }
+}
+
+/// "all": the interior; "halo": every dimension from -2 to one point
+/// into the far halo; "fast1": one halo column of the fast dimension.
+ops::Range walk_range(const ops::Block& b, const std::string& kind) {
+  ops::Range r = ops::Range::all(b);
+  const auto fast = static_cast<std::size_t>(b.dims() - 1);
+  if (kind == "halo") {
+    for (int d = 0; d < b.dims(); ++d) {
+      r.lo[static_cast<std::size_t>(d)] = -2;
+      r.hi[static_cast<std::size_t>(d)] += 1;
+    }
+  } else if (kind == "fast1") {
+    r.lo[fast] = -1;
+    r.hi[fast] = 0;
+  }
+  return r;
+}
+
+/// Distinct values at every stored element, halos included.
+void fill_distinct(ops::Dat<double>& d, double scale) {
+  const std::size_t n = d.alloc_bytes() / sizeof(double);
+  for (std::size_t k = 0; k < n; ++k)
+    d.storage()[k] = scale * static_cast<double>(k) + 0.25;
+}
+
+bool same_bytes(const ops::Dat<double>& x, const ops::Dat<double>& y) {
+  return x.alloc_bytes() == y.alloc_bytes() &&
+         std::memcmp(x.storage(), y.storage(), x.alloc_bytes()) == 0;
+}
+
+}  // namespace
+
+class RowWalk : public ::testing::TestWithParam<
+                    std::tuple<int, std::string, std::size_t>> {};
+
+TEST_P(RowWalk, ThreadsMatchesHostReferenceAndVisitsOnce) {
+  const auto& [dims, kind, grain] = GetParam();
+  ops::Options o = exec_opts(ops::Backend::Threads);
+  o.grain = grain;
+  ops::Context ctx(o);
+  ops::Block b = walk_block(ctx, dims);
+  const ops::Range r = walk_range(b, kind);
+
+  ops::Dat<double> a(b, "a", 1, 2), c(b, "c", 1, 2);
+  ops::Dat<double> out(b, "out", 1, 2), hits(b, "hits", 1, 2);
+  ops::Dat<double> out_ref(b, "out_ref", 1, 2), hits_ref(b, "hits_ref", 1, 2);
+  fill_distinct(a, 0.5);
+  fill_distinct(c, -1.75);
+  ops::par_loop(ctx, {"walk_axpy"}, b, r,
+                [](ops::ACC<double> y, ops::ACC<double> x, ops::ACC<double> z,
+                   ops::ACC<double> n) {
+                  y(0) = 2.0 * x(0) + z(0);
+                  n(0) += 1.0;
+                },
+                ops::arg(out, ops::S_PT, ops::Acc::W),
+                ops::arg(a, ops::S_PT, ops::Acc::R),
+                ops::arg(c, ops::S_PT, ops::Acc::R),
+                ops::arg(hits, ops::S_PT, ops::Acc::RW));
+
+  for (long i0 = r.lo[0]; i0 < r.hi[0]; ++i0)
+    for (long i1 = r.lo[1]; i1 < r.hi[1]; ++i1)
+      for (long i2 = r.lo[2]; i2 < r.hi[2]; ++i2) {
+        out_ref.at(i0, i1, i2) = 2.0 * a.at(i0, i1, i2) + c.at(i0, i1, i2);
+        hits_ref.at(i0, i1, i2) += 1.0;
+      }
+  EXPECT_TRUE(same_bytes(out, out_ref));
+  EXPECT_TRUE(same_bytes(hits, hits_ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsRangesGrains, RowWalk,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(std::string("all"),
+                                         std::string("halo"),
+                                         std::string("fast1")),
+                       ::testing::Values(std::size_t{1}, std::size_t{7})),
+    [](const auto& tc) {
+      return std::to_string(std::get<0>(tc.param)) + "d_" +
+             std::get<1>(tc.param) + "_grain" +
+             std::to_string(std::get<2>(tc.param));
+    });
+
+namespace {
+
+/// The element-by-element interior sum through at(), in the loop order
+/// interior_sum has always used: slow, mid, fast, then component.
+double at_interior_sum(ops::Dat<double>& d) {
+  double s = 0.0;
+  const ops::Block& b = d.block();
+  const int dims = b.dims();
+  const auto n0 = static_cast<std::ptrdiff_t>(b.size(0));
+  const auto n1 = dims >= 2 ? static_cast<std::ptrdiff_t>(b.size(1)) : 1;
+  const auto n2 = dims >= 3 ? static_cast<std::ptrdiff_t>(b.size(2)) : 1;
+  for (std::ptrdiff_t x = 0; x < n0; ++x)
+    for (std::ptrdiff_t y = 0; y < n1; ++y)
+      for (std::ptrdiff_t z = 0; z < n2; ++z)
+        for (int comp = 0; comp < d.ncomp(); ++comp)
+          s += dims == 1   ? d.at(x, 0, 0, comp)
+               : dims == 2 ? d.at(x, y, 0, comp)
+                           : d.at(x, y, z, comp);
+  return s;
+}
+
+}  // namespace
+
+class InteriorSum
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(InteriorSum, BitEqualToAtLoop) {
+  const auto& [dims, ncomp, halo] = GetParam();
+  ops::Context ctx(exec_opts(ops::Backend::Serial));
+  ops::Block b = walk_block(ctx, dims);
+  ops::Dat<double> d(b, "f", ncomp, halo);
+  // Magnitudes over many binades, so any reordering changes the bits.
+  const std::size_t n = d.alloc_bytes() / sizeof(double);
+  for (std::size_t k = 0; k < n; ++k)
+    d.storage()[k] = std::ldexp(1.0 + 0.37 * static_cast<double>(k % 11),
+                                static_cast<int>(k * 7 % 41) - 20);
+  const double got = d.interior_sum();
+  const double want = at_interior_sum(d);
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+      << got << " vs " << want;
+}
+
+INSTANTIATE_TEST_SUITE_P(DimsCompsHalos, InteriorSum,
+                         ::testing::Combine(::testing::Values(1, 2, 3),
+                                            ::testing::Values(1, 3),
+                                            ::testing::Values(0, 2)),
+                         [](const auto& tc) {
+                           return std::to_string(std::get<0>(tc.param)) +
+                                  "d_ncomp" +
+                                  std::to_string(std::get<1>(tc.param)) +
+                                  "_halo" +
+                                  std::to_string(std::get<2>(tc.param));
                          });
 
 TEST(ParLoop, EmptyRangeIsNoop) {
