@@ -47,7 +47,7 @@ namespace {
 
 constexpr std::size_t kN = 768;       // 768^2 doubles x 2 dats = 9 MiB
 constexpr int kColdIters = 480;       // enough to drain any race here
-                                      // (schedule x variant-menu joint)
+                                      // (schedule x grain x cache block)
 constexpr const char* kCache = "ablation_autotune.cache.json";
 
 /// One bandwidth-bound 5-point sweep b = lap(a) over an n x n block.
@@ -80,13 +80,13 @@ struct Sweep {
 
   /// The tuning site ops::par_loop derives for this sweep, for
   /// querying the tuner's verdict. Flat 2D non-reduction sweeps race
-  /// the kernel-variant menu and the cache-blocked traversal too.
+  /// the cache-blocked traversal too.
   [[nodiscard]] static at::Site site() {
     at::Site s;
     s.name = "tune_sweep";
     s.dims = 2;
     s.global = {kN, kN, 1};
-    s.axes = at::kScheduleGrain | at::kVariantAxes | at::kCacheBlock;
+    s.axes = at::kScheduleGrain | at::kCacheBlock;
     return s;
   }
 };

@@ -87,18 +87,6 @@ rt::autotune::Priors tuning_priors(const Platform& p) {
   else
     pr.first_touch_order = {false, true};
 
-  // Kernel-variant seeds (kRegTile|kVecWidth|kUnroll): vector widths
-  // bracket the platform's SIMD/sub-group width (CPUs want the compiler
-  // fed full vectors, GPUs get ILP from >1 element per work-item);
-  // register rows and unroll stay small - they multiply live state.
-  const int sg = std::clamp(p.sub_group, 1, 8);
-  pr.vec_widths = {1, std::max(2, sg / 2), sg};
-  pr.reg_tiles = {1, 2, 4};
-  pr.unrolls = {1, 2};
-  // Register-capacity bound: GPUs hold more live elements per work-item
-  // (large register files), CPUs spill past ~one vector register's
-  // worth of accumulator rows.
-  pr.max_variant_elems = p.gpu ? 32 : 16;
   // Cache-block seed (kCacheBlock): a fast-dimension slice of a
   // three-stream double sweep that stays resident in a per-core L1
   // share while rows above revisit it.

@@ -25,7 +25,6 @@
 #include "op2/renumber.hpp"
 #include "op2/stage.hpp"
 #include "runtime/autotune/autotune.hpp"
-#include "runtime/autotune/variant.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sycl/launch_log.hpp"
 
@@ -103,8 +102,7 @@ struct is_gbl_arg<GblArg<T>> : std::true_type {};
 /// invoke(views, i) runs the kernel for position i.
 template <typename... B, typename Invoke>
 void blocked_sweep(Context& ctx, const char* name, std::tuple<B...>& binders,
-                   std::size_t count, const rt::autotune::VariantParams& vp,
-                   Invoke&& invoke) {
+                   std::size_t count, Invoke&& invoke) {
   const ReduceBlocks blocks(1, count);
   rt::ScopedGrainScale per_block(kReduceBlock);
   auto launch = [&](std::size_t nblocks, const auto& run) {
@@ -128,9 +126,8 @@ void blocked_sweep(Context& ctx, const char* name, std::tuple<B...>& binders,
   };
   run_blocked(binders, blocks.count(), launch,
               [&](auto& views, std::size_t k) {
-                rt::autotune::run_span_variant(
-                    vp, blocks.begin(k), blocks.end(k),
-                    [&](std::size_t i) { invoke(views, i); });
+                for (std::size_t i = blocks.begin(k); i < blocks.end(k); ++i)
+                  invoke(views, i);
               });
 }
 
@@ -362,25 +359,12 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   rt::autotune::Site site;
   site.name = meta.name;
   site.global = {n, 1, 1};
-  // Direct sweeps (no colouring plan in the way) also race the
-  // kernel-variant menu on the parallel lowerings: gather/scatter
-  // kernels are exactly where register tiling hides indirection
-  // latency. The staged lowering's tile sweeps honour the ascending
-  // order contract too. Coloured strategies keep the reference loop -
-  // their sweep order is the correctness contract.
-  const bool direct_sweep = conflict == nullptr ||
-                            ctx_strat == Strategy::Atomics ||
-                            ctx_strat == Strategy::None ||
-                            ctx_strat == Strategy::Staged;
   // Indirect-increment loops additionally race the race-resolution
   // strategy jointly with the gathered dats' physical layout - unless
   // the user pinned either knob through the environment.
   const bool pinned = strategy_from_env().has_value() ||
                       rt::env::get("SYCLPORT_LAYOUT").has_value();
   site.axes = rt::autotune::kScheduleGrain |
-              (direct_sweep && ctx.opt.exec != Exec::Serial
-                   ? rt::autotune::kVariantAxes
-                   : 0u) |
               (conflict != nullptr && !pinned
                    ? rt::autotune::kIndirect | rt::autotune::kLayout
                    : 0u);
@@ -390,12 +374,8 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   // then re-derive the lowering: any non-AoS operand (tuner-chosen or
   // app-chosen) forces the staged path.
   Strategy strat = ctx_strat;
-  rt::autotune::VariantParams vp;
   if (sched_scope.phase() != rt::autotune::Phase::None) {
     const auto& cfg = sched_scope.config();
-    vp.reg_tile = cfg.reg_tile.value_or(1);
-    vp.vec_width = cfg.vec_width.value_or(1);
-    vp.unroll = cfg.unroll.value_or(1);
     if (conflict != nullptr) {
       if (cfg.indirect && *cfg.indirect >= 1 && *cfg.indirect <= 4)
         strat = static_cast<Strategy>(*cfg.indirect);
@@ -440,7 +420,7 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
     auto targs = std::forward_as_tuple(args...);
     detail::staged_loop(
         ctx, meta.name, n,
-        conflict != nullptr ? conflict->map->to().size() : std::size_t{0}, vp,
+        conflict != nullptr ? conflict->map->to().size() : std::size_t{0},
         kernel, targs);
     log_decision();
     return;
@@ -465,14 +445,11 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
       case Exec::Threads: {
         rt::ThreadPool::global().parallel_for(
             count, [&](std::size_t b, std::size_t e) {
-              rt::autotune::run_span_variant(
-                  vp, b, e, [&](std::size_t i) { invoke(elem_at(i)); });
+              for (std::size_t i = b; i < e; ++i) invoke(elem_at(i));
             });
         break;
       }
       case Exec::Sycl:
-        // The handler's exec_flat applies the variant decided for this
-        // loop's scope (it reads the innermost tuning config).
         ctx.queue.parallel_for(meta.name, sycl::range<1>(count),
                                [&](sycl::item<1> it) {
                                  invoke(elem_at(it.get_linear_id()));
@@ -486,7 +463,7 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
       strat == Strategy::None) {
     if constexpr (has_gbl) {
       detail::blocked_sweep(
-          ctx, meta.name, binders, n, vp, [&](auto& views, std::size_t e) {
+          ctx, meta.name, binders, n, [&](auto& views, std::size_t e) {
             std::apply([&](auto&... b) { kernel(b.make(e, atomic)...); },
                        views);
           });

@@ -6,7 +6,7 @@
 ///   Phase A - tiles of `stage_tile` elements run in parallel: indirect
 ///     read operands are gathered into contiguous per-element scratch,
 ///     non-AoS direct operands are transcoded into tile buffers, the
-///     kernel sweeps the tile through the PR-7 variant menu, and INC
+///     kernel sweeps the tile in ascending element order, and INC
 ///     contributions land in a per-tile scratch arena (race-free: the
 ///     arena is element-indexed, no two elements share a slot).
 ///   Phase B - the arena is scattered into the target dats with
@@ -35,7 +35,6 @@
 
 #include "op2/arg.hpp"
 #include "op2/context.hpp"
-#include "runtime/autotune/variant.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace syclport::op2::detail {
@@ -226,12 +225,10 @@ inline void scatter_inc_elem(const A&, const Arena&, std::size_t, std::size_t,
 
 /// Run the staged lowering over n elements. `conflict_targets` is the
 /// size of the INC conflict map's target set (0 when the loop has no
-/// INC args - phase B is skipped entirely then). `vp` is the kernel
-/// variant the tuner decided for this launch.
+/// INC args - phase B is skipped entirely then).
 template <typename K, typename... Args>
 void staged_loop(Context& ctx, const char* name, std::size_t n,
-                 std::size_t conflict_targets,
-                 const rt::autotune::VariantParams& vp, K&& kernel,
+                 std::size_t conflict_targets, K&& kernel,
                  std::tuple<Args...>& args) {
   const std::size_t tile = std::max<std::size_t>(1, ctx.opt.stage_tile);
   const std::size_t pool = std::max<std::size_t>(
@@ -257,9 +254,8 @@ void staged_loop(Context& ctx, const char* name, std::size_t n,
     if (b >= e_end) return;
     auto views = std::make_tuple(make_tile_view(
         std::get<I>(args), std::get<I>(arenas), t * tile, b, e_end)...);
-    rt::autotune::run_span_variant(vp, b, e_end, [&](std::size_t e) {
+    for (std::size_t e = b; e < e_end; ++e)
       std::apply([&](auto&... v) { kernel(v.make(e, false)...); }, views);
-    });
     std::apply([&](auto&... v) { (v.flush(), ...); }, views);
   };
 

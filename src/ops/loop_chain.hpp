@@ -308,9 +308,12 @@ class LoopChain {
 
     // Ghost expansion: suffix slow radii of the later loops.
     std::vector<long> expand(n, 0);
-    for (std::size_t i = n; i-- > 1;)
-      expand[i - 1] = expand[i] + nodes[b + i].radius_slow;
-    const long ghost = 2 * expand[0];
+    long suffix = 0;  // expand[0] once the loop ends (0 when n <= 1)
+    for (std::size_t i = n; i-- > 1;) {
+      suffix += nodes[b + i].radius_slow;
+      expand[i - 1] = suffix;
+    }
+    const long ghost = 2 * suffix;
 
     // Slab working set per slow row across the segment's distinct dats.
     double row_bytes = 0.0;

@@ -12,7 +12,7 @@
 /// Every lowering calls the kernel through one row walker: a span of
 /// the flattened range is split at fast-dimension row ends, each row is
 /// delinearized once and every argument positioned on it, and the fast
-/// index then steps through the tuned kernel variant - one pointer
+/// index then steps through one plain ascending loop - one pointer
 /// offset per argument per point. Points are visited in ascending
 /// order within every span, so reductions keep their bits.
 /// This mirrors how the real OPS generates per-parallelization code
@@ -28,7 +28,7 @@
 #include "ops/block.hpp"
 #include "ops/context.hpp"
 #include "runtime/autotune/autotune.hpp"
-#include "runtime/autotune/variant.hpp"
+#include "runtime/autotune/row_walk.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace syclport::ops {
@@ -133,9 +133,9 @@ template <typename T>
 }
 
 /// Does the argument pack contain a reduction? Reduction loops run over
-/// the index blocks of core/reducer.hpp; they keep the ascending-order
-/// variant axes but must not race the cache-block axis (its traversal
-/// reorder would change accumulation order).
+/// the index blocks of core/reducer.hpp and must not race the
+/// cache-block axis (its traversal reorder would change accumulation
+/// order).
 template <typename A>
 struct is_red_arg : std::false_type {};
 template <typename T>
@@ -263,10 +263,10 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
   site.name = meta.name;
   site.dims = dims;
   site.global = ext;
-  // Flat sweeps (pool and SYCL flat lowerings) additionally race the
-  // kernel-variant menu, and - for independent-point multi-dimensional
-  // loops - the cache-blocked traversal. The Serial backend stays the
-  // pure reference loop, and nd_range keeps its shape contract.
+  // Flat sweeps (pool and SYCL flat lowerings) of independent-point
+  // multi-dimensional loops additionally race the cache-blocked
+  // traversal. The Serial backend stays the pure reference loop, and
+  // nd_range keeps its shape contract.
   // Reduction loops launch over their block grid on every backend, so
   // they have no work-group shape to tune.
   constexpr bool has_red = (detail::is_red_arg<Args>::value || ...);
@@ -277,22 +277,15 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
                           ctx.opt.backend == Backend::SyclFlat;
   site.axes = rt::autotune::kScheduleGrain |
               (site.nd ? rt::autotune::kWorkGroup : 0u) |
-              (flat_sweep ? rt::autotune::kVariantAxes : 0u) |
               (flat_sweep && !has_red && dims >= 2 ? rt::autotune::kCacheBlock
                                                    : 0u);
   site.max_wg = ctx.queue.get_device().max_work_group_size();
   rt::autotune::TunedLaunchParams sched_scope(site, ctx.opt.schedule,
                                               ctx.opt.grain);
 
-  rt::autotune::VariantParams vp;
-  std::size_t cb = 0;
-  if (sched_scope.phase() != rt::autotune::Phase::None) {
-    const auto& cfg = sched_scope.config();
-    vp.reg_tile = cfg.reg_tile.value_or(1);
-    vp.vec_width = cfg.vec_width.value_or(1);
-    vp.unroll = cfg.unroll.value_or(1);
-    cb = cfg.cache_block.value_or(0);
-  }
+  const std::size_t cb = sched_scope.phase() != rt::autotune::Phase::None
+                             ? sched_scope.config().cache_block.value_or(0)
+                             : 0;
 
   auto binders = std::make_tuple(detail::make_binder(args, r)...);
   // The row walker, the only way the kernel is called. `bound` is the
@@ -311,13 +304,12 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
     std::apply([&](const auto&... rw) { kernel(rw.at(j)...); }, rows);
   };
   // Fast indices [jb, je) of row `row` of the flattened rows x fast
-  // space, through the tuned variant.
+  // space.
   auto run_row = [&](auto& bound, std::size_t row, std::size_t jb,
                      std::size_t je) {
     const std::size_t c0 = dims == 3 ? row / ext[1] : row;
     const auto rows = bind_rows(bound, c0, dims == 3 ? row - c0 * ext[1] : 0);
-    rt::autotune::run_span_variant(
-        vp, jb, je, [&](std::size_t j) { call_at(rows, j); });
+    for (std::size_t j = jb; j < je; ++j) call_at(rows, j);
   };
   // Any linear span [b, e), split at row ends; ascending order.
   auto walk = [&](auto& bound, std::size_t b, std::size_t e) {
@@ -361,7 +353,7 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
                 });
   } else {
     // A SYCL work-item's one-point span, at the item's own coordinates;
-    // the handler's flat lowering runs the tuned variant around items.
+    // the handler's flat lowering walks the items row by row.
     auto run_point = [&](std::size_t c0, std::size_t c1, std::size_t j) {
       call_at(bind_rows(binders, c0, c1), j);
     };

@@ -7,7 +7,6 @@
 #include "core/factorize.hpp"
 #include "runtime/autotune/cache.hpp"
 #include "runtime/autotune/fingerprint.hpp"
-#include "runtime/autotune/variant.hpp"
 #include "runtime/env.hpp"
 #include "runtime/mem/mem.hpp"
 
@@ -110,13 +109,9 @@ void append_token(std::string& out, const char* key, const std::string& val) {
 
   if (site.axes & kScheduleGrain) {
     // Grain only matters for range-splitting launches; nd_range sites
-    // schedule whole groups, so vary schedule alone there. Variant
-    // sites also race schedule alone: the register-tile/unroll shapes
-    // restructure each chunk internally, and crossing grains into the
-    // joint variant menu would square the candidate count for a knob
-    // the variants largely subsume.
+    // schedule whole groups, so vary schedule alone there.
     std::vector<std::size_t> grains{1};
-    if (!(site.axes & (kWorkGroup | kVariantAxes))) {
+    if (!(site.axes & kWorkGroup)) {
       for (const std::size_t g : priors.grains)
         if (g > 1 && g * 2 <= site.total() &&
             std::find(grains.begin(), grains.end(), g) == grains.end())
@@ -200,33 +195,6 @@ void append_token(std::string& out, const char* key, const std::string& val) {
       }
     });
   }
-  if (site.axes & kVariantAxes) {
-    // One joint menu, not a cross product: the priors' cross product is
-    // intersected with the compiled menu (only instantiations that
-    // exist can be handed out) and pruned by the register-capacity
-    // bound (a shape whose live state spills is never worth racing).
-    std::vector<VariantParams> menu{VariantParams{}};
-    for (const int rt : priors.reg_tiles)
-      for (const int vw : priors.vec_widths)
-        for (const int u : priors.unrolls) {
-          if (rt <= 0 || vw <= 0 || u <= 0) continue;
-          const VariantParams vp{rt, vw, u};
-          if (variant_menu_index(vp) < 0) continue;
-          if (vp.span() > priors.max_variant_elems) continue;
-          if (static_cast<std::size_t>(vp.span()) * 2 > site.total()) continue;
-          if (std::find(menu.begin(), menu.end(), vp) == menu.end())
-            menu.push_back(vp);
-        }
-    cross([&](const Config& c, std::vector<Config>& next) {
-      for (const auto& vp : menu) {
-        Config d = c;
-        d.reg_tile = vp.reg_tile;
-        d.vec_width = vp.vec_width;
-        d.unroll = vp.unroll;
-        next.push_back(d);
-      }
-    });
-  }
   if (site.axes & kCacheBlock) {
     // Fast (innermost) extent bounds the block: a block that covers the
     // whole fast dimension is the unblocked traversal.
@@ -292,7 +260,7 @@ void append_token(std::string& out, const char* key, const std::string& val) {
 
 /// Joint-axis Hamming distance between two configurations: how many of
 /// the tuner's joint axes (schedule+grain, local shape, overlap,
-/// tile+fuse, first-touch, variant shape, cache block) differ. The
+/// tile+fuse, first-touch, cache block, layout+indirect) differ. The
 /// transfer seeder ranks neighbors of a donor winner by this.
 [[nodiscard]] int axis_diff(const Config& a, const Config& b) {
   int d = 0;
@@ -301,8 +269,6 @@ void append_token(std::string& out, const char* key, const std::string& val) {
   d += static_cast<int>(a.overlap_queue != b.overlap_queue);
   d += static_cast<int>(a.tile != b.tile || a.fuse != b.fuse);
   d += static_cast<int>(a.first_touch != b.first_touch);
-  d += static_cast<int>(a.reg_tile != b.reg_tile ||
-                        a.vec_width != b.vec_width || a.unroll != b.unroll);
   d += static_cast<int>(a.cache_block != b.cache_block);
   d += static_cast<int>(a.layout != b.layout || a.indirect != b.indirect);
   return d;
@@ -373,9 +339,6 @@ std::string Config::to_string() const {
   if (first_touch)
     append_token(out, "first_touch", *first_touch ? "on" : "off");
   if (fuse) append_token(out, "fuse", *fuse ? "on" : "off");
-  if (reg_tile) append_token(out, "reg_tile", std::to_string(*reg_tile));
-  if (vec_width) append_token(out, "vec", std::to_string(*vec_width));
-  if (unroll) append_token(out, "unroll", std::to_string(*unroll));
   if (cache_block)
     append_token(out, "cache_block", std::to_string(*cache_block));
   if (layout) {
@@ -451,18 +414,6 @@ std::optional<Config> Config::parse(std::string_view s) {
       if (val == "on") cfg.fuse = true;
       else if (val == "off") cfg.fuse = false;
       else return std::nullopt;
-    } else if (key == "reg_tile") {
-      const auto v = parse_size(val);
-      if (!v || *v == 0) return std::nullopt;
-      cfg.reg_tile = static_cast<int>(*v);
-    } else if (key == "vec") {
-      const auto v = parse_size(val);
-      if (!v || *v == 0) return std::nullopt;
-      cfg.vec_width = static_cast<int>(*v);
-    } else if (key == "unroll") {
-      const auto v = parse_size(val);
-      if (!v || *v == 0) return std::nullopt;
-      cfg.unroll = static_cast<int>(*v);
     } else if (key == "cache_block") {
       const auto v = parse_size(val);
       if (!v) return std::nullopt;
@@ -511,7 +462,7 @@ std::string Site::key() const {
   out += "|fp";
   out += std::to_string(fp_class);
   // Axis mask: two same-named same-shaped sites with different declared
-  // axis sets (a Threads lowering racing kernel variants vs a Serial
+  // axis sets (a Threads lowering racing cache blocks vs a Serial
   // one racing schedule alone) must never collide in the cache - a
   // winner with axes the other lowering cannot act on would silently
   // pin the wrong knobs.
@@ -593,14 +544,14 @@ Autotuner::Decision Autotuner::decide(const Site& site) {
         st->best = cands.empty() ? Config{} : cands.front();
       } else {
         if (mode_ != Mode::Force && transfer_) {
-          if (const auto donor = find_donor_locked(site, key)) {
+          if (const auto donor = find_donor_locked(key)) {
             // Warm start: race the donor's winner against its nearest
             // neighbors in joint-axis space instead of the full cross
             // product. The donor config is raced verbatim - a foreign
             // value that does not suit this site degrades gracefully
-            // (unknown variant shapes fall back to the reference loop,
-            // oversized grains/tiles collapse to one chunk) and simply
-            // loses the race.
+            // (oversized grains/tiles collapse to one chunk, oversized
+            // cache blocks to the unblocked walk) and simply loses the
+            // race.
             std::stable_sort(cands.begin(), cands.end(),
                              [&](const Config& a, const Config& b) {
                                return axis_diff(a, donor->config) <
@@ -643,7 +594,7 @@ Autotuner::Decision Autotuner::decide(const Site& site) {
 }
 
 std::optional<Autotuner::Donor> Autotuner::find_donor_locked(
-    const Site& site, const std::string& key) const {
+    const std::string& key) const {
   const auto want = parse_key(key);
   if (!want) return std::nullopt;
   std::optional<Donor> best;

@@ -146,14 +146,14 @@ class Autotuner {
   void ensure_loaded_locked();
   void advance_round_locked(KeyState& st);
   bool save_locked() const;
-  /// Nearest already-tuned donor for a cold `site` (nullopt when
+  /// Nearest already-tuned donor for the cold site `key` (nullopt when
   /// transfer is off or nothing compatible is tuned yet).
   struct Donor {
     Config config;
     std::string provenance;
   };
   [[nodiscard]] std::optional<Donor> find_donor_locked(
-      const Site& site, const std::string& key) const;
+      const std::string& key) const;
 
   mutable std::mutex mu_;
   Mode mode_ = Mode::Off;

@@ -17,10 +17,11 @@ namespace {
 /// Current on-disk format version. v2 added the content checksum; v3
 /// added the per-entry `fp` field (transfer-learning donor provenance)
 /// and new Config axes; v4 added the layout/indirect axes (op2
-/// unstructured tuning), so older files - and anything newer/foreign -
-/// are rejected wholesale, which the caller treats as a cold cache:
-/// retuning is always safe, trusting a stale or damaged winner is not.
-constexpr int kCacheVersion = 4;
+/// unstructured tuning); v5 dropped the kernel-variant tokens, so
+/// older files - and anything newer/foreign - are rejected wholesale,
+/// which the caller treats as a cold cache: retuning is always safe,
+/// trusting a stale or damaged winner is not.
+constexpr int kCacheVersion = 5;
 
 /// Extract the value of `"field": "..."` from one line; nullopt when
 /// the field is absent. Values never contain quotes (keys and configs

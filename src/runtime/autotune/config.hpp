@@ -42,17 +42,10 @@ enum Axis : unsigned {
   kTile = 1u << 3,           ///< LoopChain slow-dimension tile depth
   kFirstTouch = 1u << 4,     ///< rt::mem parallel first-touch on/off
   kFuse = 1u << 5,           ///< LoopChain fused vs reference schedule
-  kRegTile = 1u << 6,        ///< kernel-variant register-tile rows
-  kVecWidth = 1u << 7,       ///< kernel-variant vector width hint
-  kUnroll = 1u << 8,         ///< kernel-variant unroll factor
   kCacheBlock = 1u << 9,     ///< fast-dimension cache-block size (items)
   kLayout = 1u << 10,        ///< physical dat layout (AoS/SoA/AoSoA)
   kIndirect = 1u << 11,      ///< indirect-increment strategy (op2)
 };
-
-/// The kernel-variant axes raced as one joint menu (variant.hpp): a
-/// site that can run parametrized variants declares all three.
-inline constexpr unsigned kVariantAxes = kRegTile | kVecWidth | kUnroll;
 
 /// One candidate (or winning) configuration. Axes a site did not
 /// declare stay nullopt and must not be acted on.
@@ -71,12 +64,6 @@ struct Config {
   /// LoopChain fusion decision: true = overlap-tiled fused segments,
   /// false = the unfused reference schedule (tile is then moot).
   std::optional<bool> fuse;
-  /// Kernel-variant shape (variant.hpp menu): register-tile rows,
-  /// innermost vector width hint, unroll factor. Always set together by
-  /// the kRegTile|kVecWidth|kUnroll joint axis.
-  std::optional<int> reg_tile;
-  std::optional<int> vec_width;
-  std::optional<int> unroll;
   /// Fast-dimension cache-block size in items; 0 = unblocked. Only
   /// independent-point (non-reduction) sites declare this axis - the
   /// blocked traversal reorders iterations.
@@ -111,7 +98,7 @@ struct Site {
   /// `name|dims|g0xg1xg2|flat/nd|fpN|axM` - N = floor(log2(total
   /// items)), the footprint class; M = the declared axis bitmask, so
   /// two same-named same-shaped sites with different axis sets (a
-  /// Threads lowering racing kernel variants vs a Serial one racing
+  /// Threads lowering racing cache blocks vs a Serial one racing
   /// schedule alone) can never collide in the cache.
   [[nodiscard]] std::string key() const;
   /// Total iteration count (product of the used global extents).
@@ -135,19 +122,6 @@ struct Priors {
   /// serial touch can win by leaving placement to the OS).
   std::array<bool, 2> first_touch_order{true, false};
 
-  /// Kernel-variant seeds (kRegTile|kVecWidth|kUnroll): the cross
-  /// product is intersected with the executable menu (variant.hpp) and
-  /// pruned by max_variant_elems. 0 entries are dropped; {1,1,1} is
-  /// always raced.
-  std::array<int, 3> reg_tiles{1, 2, 4};
-  std::array<int, 3> vec_widths{1, 4, 8};
-  std::array<int, 2> unrolls{1, 2};
-  /// Register-file capacity bound: variants whose live state
-  /// (reg_tile x vec_width x unroll elements) exceeds this are pruned
-  /// before the race - they would spill, and racing a known-spilling
-  /// shape wastes exploration launches (hwmodel sets it from the
-  /// platform's register budget).
-  int max_variant_elems = 16;
   /// Cache-block seeds in items (kCacheBlock); 0 = unblocked is always
   /// raced. hwmodel sizes the nonzero seed to an L1-resident slice of a
   /// three-stream double sweep.

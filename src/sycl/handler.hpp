@@ -38,7 +38,7 @@
 #include "core/reducer.hpp"
 #include "core/timing.hpp"
 #include "runtime/autotune/autotune.hpp"
-#include "runtime/autotune/variant.hpp"
+#include "runtime/autotune/row_walk.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/mem/stream.hpp"
 #include "runtime/thread_pool.hpp"
@@ -99,26 +99,17 @@ inline void log_launch(const char* name, int dims,
   // tuning scope on this thread), and whether it was a search candidate
   // or the locked-in winner.
   rec.tune_phase = syclport::rt::autotune::current_phase();
-  if (const auto* cfg = syclport::rt::autotune::current_config()) {
+  if (const auto* cfg = syclport::rt::autotune::current_config())
     rec.tune_config = cfg->to_string();
-    if (cfg->reg_tile || cfg->cache_block) {
-      const syclport::rt::autotune::VariantParams vp{
-          cfg->reg_tile.value_or(1), cfg->vec_width.value_or(1),
-          cfg->unroll.value_or(1)};
-      rec.tune_variant =
-          syclport::rt::autotune::variant_id(vp, cfg->cache_block.value_or(0));
-    }
-  }
   if (const char* seed = syclport::rt::autotune::current_seed())
     rec.tune_seed = seed;
   lg.append(std::move(rec));
 }
 
 /// Handler-level tuning site for one exec_* body: schedule x grain,
-/// plus the kernel-variant menu on the flat (non-barrier) lowerings and
-/// the cache-block axis where the traversal may be reordered (`extra`).
-/// The shape of an nd_range launch is the caller's contract, so nd
-/// sites never add variant axes here. No-ops when an outer DSL scope
+/// plus the cache-block axis where the traversal may be reordered
+/// (`extra`). The shape of an nd_range launch is the caller's contract,
+/// so nd sites never add axes here. No-ops when an outer DSL scope
 /// (ops/op2 par_loop, LoopChain) already owns tuning for this launch.
 [[nodiscard]] inline syclport::rt::autotune::Site exec_site(
     const char* name, int dims, std::array<std::size_t, 3> global, bool nd,
@@ -132,38 +123,26 @@ inline void log_launch(const char* name, int dims,
   return s;
 }
 
-/// Variant/cache-block decision of the innermost tuning scope on this
-/// thread - the handler's own scope when it owns tuning, or the DSL
-/// scope (ops/op2 par_loop) whose decision covers this launch when it
-/// does. Defaults to the reference shape outside any scope.
-struct ActiveVariant {
-  syclport::rt::autotune::VariantParams vp;
-  std::size_t cache_block = 0;
-};
-[[nodiscard]] inline ActiveVariant active_variant() {
-  ActiveVariant out;
-  if (const auto* cfg = syclport::rt::autotune::current_config()) {
-    out.vp.reg_tile = cfg->reg_tile.value_or(1);
-    out.vp.vec_width = cfg->vec_width.value_or(1);
-    out.vp.unroll = cfg->unroll.value_or(1);
-    out.cache_block = cfg->cache_block.value_or(0);
-  }
-  return out;
+/// Cache-block decision of the innermost tuning scope on this thread -
+/// the handler's own scope when it owns tuning, or the DSL scope
+/// (ops/op2 par_loop) whose decision covers this launch when it does.
+/// 0 (unblocked) outside any scope.
+[[nodiscard]] inline std::size_t active_cache_block() {
+  const auto* cfg = syclport::rt::autotune::current_config();
+  return cfg != nullptr ? cfg->cache_block.value_or(0) : 0;
 }
 
 /// f(id) for the ids of row `row` of `r` (the row-major rows of its
 /// fast dimension) with fast index in [jb, je): the row is
-/// delinearized once, then the fast index steps through the variant.
+/// delinearized once, then the fast index steps in ascending order.
 template <int Dims, typename F>
 inline void for_row_ids(const range<Dims>& r, std::size_t row, std::size_t jb,
-                        std::size_t je,
-                        const syclport::rt::autotune::VariantParams& vp,
-                        F&& f) {
+                        std::size_t je, F&& f) {
   id<Dims> i = delinearize(row * r[Dims - 1] + jb, r);
-  syclport::rt::autotune::run_span_variant(vp, jb, je, [&](std::size_t j) {
+  for (std::size_t j = jb; j < je; ++j) {
     i[Dims - 1] = j;
     f(i);
-  });
+  }
 }
 
 // --- kernel execution bodies, shared by both handler modes -----------------
@@ -181,24 +160,21 @@ void exec_flat(const device&, const char* name, const range<Dims>& r,
   if (streaming)
     pin.emplace(syclport::rt::Schedule::Static, std::nullopt);
   // Flat launches are independent-point by construction here (a
-  // reduction takes exec_flat_reduce), so this lowering also races the
-  // kernel-variant menu, and on multi-dimensional ranges the
-  // cache-blocked traversal.
+  // reduction takes exec_flat_reduce), so on multi-dimensional ranges
+  // this lowering also races the cache-blocked traversal.
   syclport::rt::autotune::TunedLaunchParams tuned(exec_site(
       name, Dims, to3(r), false,
-      syclport::rt::autotune::kVariantAxes |
-          (Dims >= 2 ? syclport::rt::autotune::kCacheBlock : 0u)));
+      Dims >= 2 ? syclport::rt::autotune::kCacheBlock : 0u));
   syclport::WallTimer t;
   const std::size_t total = r.size();
-  const auto av = active_variant();
+  const std::size_t cb = active_cache_block();
   const std::size_t fast = r[Dims - 1];
   auto seg = [&](std::size_t row, std::size_t jb, std::size_t je) {
-    for_row_ids(r, row, jb, je, av.vp,
+    for_row_ids(r, row, jb, je,
                 [&](const id<Dims>& i) { invoke_flat(k, i, r); });
   };
-  if (Dims >= 2 && av.cache_block > 0 && av.cache_block < fast && fast > 0) {
-    syclport::rt::autotune::blocked_parallel_for(total / fast, fast,
-                                                 av.cache_block, seg);
+  if (Dims >= 2 && cb > 0 && cb < fast && fast > 0) {
+    syclport::rt::autotune::blocked_parallel_for(total / fast, fast, cb, seg);
   } else {
     // Templated fast path: the lambda is dispatched inline by the pool,
     // no std::function is constructed per launch or per chunk.
@@ -215,18 +191,15 @@ template <int Dims, typename T, typename Op, typename K>
 void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
                       const reduction_descriptor<T, Op>& red, const K& k) {
   // The index blocks of core/reducer.hpp: each block accumulates its
-  // points in ascending order (every variant keeps that order, see
-  // variant.hpp), and the partials fold in block order - the result is
-  // independent of schedule, grain and worker count. The cache-block
-  // axis, which does reorder, is NOT declared here.
+  // points in ascending order, and the partials fold in block order -
+  // the result is independent of schedule, grain and worker count. The
+  // cache-block axis, which does reorder, is NOT declared here.
   syclport::rt::autotune::TunedLaunchParams tuned(
-      exec_site(name, Dims, to3(r), false,
-                syclport::rt::autotune::kVariantAxes));
+      exec_site(name, Dims, to3(r), false));
   syclport::WallTimer t;
   const std::size_t rows = Dims == 1 || r.size() == 0 ? 1 : r[0];
   const syclport::ReduceBlocks blocks(rows, r.size() / rows);
   std::vector<T> parts(blocks.count(), red.identity);
-  const auto av = active_variant();
   {
     syclport::rt::ScopedGrainScale per_block(syclport::kReduceBlock);
     syclport::rt::ThreadPool::global().parallel_for(
@@ -236,7 +209,7 @@ void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
             syclport::rt::autotune::for_each_row_segment(
                 blocks.begin(blk), blocks.end(blk), r[Dims - 1],
                 [&](std::size_t row, std::size_t jb, std::size_t je) {
-                  for_row_ids(r, row, jb, je, av.vp, [&](const id<Dims>& i) {
+                  for_row_ids(r, row, jb, je, [&](const id<Dims>& i) {
                     if constexpr (std::invocable<const K&, item<Dims>,
                                                  reducer<T, Op>&>) {
                       k(item<Dims>(i, r), part);

@@ -56,10 +56,6 @@ struct launch_record {
   syclport::rt::autotune::Phase tune_phase =
       syclport::rt::autotune::Phase::None;
   std::string tune_config;
-  /// Kernel-variant id that executed this launch ("rt2v4u1", with a
-  /// "cb<n>" suffix when the cache-blocked traversal ran; "" when the
-  /// serving config carries no variant axes - the reference loop).
-  std::string tune_variant;
   /// Transfer-seed provenance: the key of the already-tuned site (plus
   /// "@fingerprint" for a cross-machine donor) that seeded this site's
   /// search pool; "" for a full (unseeded) search.

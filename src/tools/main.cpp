@@ -24,7 +24,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -35,7 +34,6 @@
 #include "minimpi/elastic.hpp"
 #include "ops/dist.hpp"
 #include "ops/dist_checkpoint.hpp"
-#include "runtime/autotune/autotune.hpp"
 #include "runtime/fault/fault.hpp"
 #include "core/report.hpp"
 #include "stream/babelstream.hpp"
@@ -581,81 +579,6 @@ int cmd_report(const std::string& out_path) {
           << " | " << a.segments << " | " << a.tile << " | "
           << report::fmt(a.eliminated / 1e6, 1) << " MB |\n";
     log.clear();
-  }
-
-  // Kernel-variant and transfer-learning telemetry (docs/tuning.md):
-  // two tuned Acoustic runs sharing a cache file. The first (cold) runs
-  // the full variant race per site; the second models a different
-  // machine (new fingerprint), so the cold winners are not trusted
-  // directly but seed its search pool - the per-launch records carry
-  // the variant id that served each launch and the donor provenance.
-  {
-    namespace at = syclport::rt::autotune;
-    auto& log = sycl::launch_log::instance();
-    const char* kCachePath = "syclport_report_tune_cache.json";
-    std::remove(kCachePath);
-    // Unfused: fused chains tile the range, and per-tile shapes would
-    // fragment the tuning sites; here the point is the variant race, so
-    // keep one stable site per kernel and run enough steps to converge.
-    setenv("SYCLPORT_FUSION", "off", 1);
-
-    auto run_tuned = [&](const char* fp) {
-      log.clear();
-      log.set_enabled(true);
-      at::Autotuner::instance().reset(at::Autotuner::Mode::On, fp,
-                                      kCachePath);
-      ops::Options o;
-      o.backend = ops::Backend::SyclFlat;
-      o.tune = true;
-      apps::ProblemSize ps = apps::acoustic_small();
-      ps.iters = 160;
-      (void)apps::run_acoustic(o, ps);
-      at::Autotuner::instance().reset(at::Autotuner::Mode::Off, "", "");
-      log.set_enabled(false);
-    };
-
-    struct VAgg {
-      std::size_t launches = 0, explored = 0;
-      std::set<std::string> variants;
-      std::string locked;  // variant of the latest exploiting launch
-      std::string seed;    // transfer provenance ("" = full search)
-    };
-    auto emit_table = [&](const char* title) {
-      std::map<std::string, VAgg> per_kernel;
-      for (const auto& r : log.snapshot()) {
-        if (r.tune_phase == at::Phase::None) continue;
-        VAgg& a = per_kernel[r.kernel_name];
-        a.launches += 1;
-        if (r.tune_phase == at::Phase::Exploring) a.explored += 1;
-        const std::string v =
-            r.tune_variant.empty() ? "ref" : r.tune_variant;
-        a.variants.insert(v);
-        if (r.tune_phase == at::Phase::Exploiting) a.locked = v;
-        if (a.seed.empty() && !r.tune_seed.empty()) a.seed = r.tune_seed;
-      }
-      out << "\n### " << title << "\n\n"
-          << "| kernel site | launches | explored | variants raced | "
-          << "locked variant | seeded from |\n|---|---|---|---|---|---|\n";
-      for (const auto& [name, a] : per_kernel)
-        out << "| `" << name << "` | " << a.launches << " | " << a.explored
-            << " | " << a.variants.size() << " | "
-            << (a.locked.empty() ? "-" : a.locked) << " | "
-            << (a.seed.empty() ? "full search" : "`" + a.seed + "`")
-            << " |\n";
-    };
-
-    out << "\n## Kernel variants (tuned acoustic exercise, this process)\n\n"
-        << "Per tuned launch site: how many launches the variant race\n"
-        << "consumed, how many distinct kernel variants served them, the\n"
-        << "locked-in winner, and the transfer-seed provenance (`full\n"
-        << "search` for a cold site with no eligible donor).\n";
-    run_tuned("study-report-machine-a");
-    emit_table("cold machine (full search)");
-    run_tuned("study-report-machine-b");
-    emit_table("warm machine (transfer-seeded from the cold cache)");
-    log.clear();
-    unsetenv("SYCLPORT_FUSION");
-    std::remove(kCachePath);
   }
 
   // Launch-timing tails: an executed Acoustic run with the launch log

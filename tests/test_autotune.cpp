@@ -18,7 +18,7 @@
 #include "ops/ops.hpp"
 #include "runtime/autotune/autotune.hpp"
 #include "runtime/autotune/cache.hpp"
-#include "runtime/autotune/variant.hpp"
+#include "runtime/autotune/row_walk.hpp"
 #include "runtime/env.hpp"
 #include "sycl/sycl.hpp"
 
@@ -38,11 +38,13 @@ at::Site sched_site(const char* name = "k") {
   return s;
 }
 
-/// A site that also races the kernel-variant menu, like the flat-sweep
-/// lowerings declare it.
-at::Site variant_site(const char* name = "vk") {
+/// A site with the axis set flat 2D sweeps declare (schedule x grain x
+/// cache block); the fast extent leaves room for a nonzero block.
+at::Site flat_sweep_site(const char* name = "fk") {
   at::Site s = sched_site(name);
-  s.axes = at::kScheduleGrain | at::kVariantAxes;
+  s.dims = 2;
+  s.global = {64, 4096, 1};
+  s.axes = at::kScheduleGrain | at::kCacheBlock;
   return s;
 }
 
@@ -93,12 +95,9 @@ TEST(Autotune, ConfigToStringParseRoundTrip) {
   ASSERT_TRUE(sback.has_value());
   EXPECT_EQ(*sback, sparse);
 
-  // The kernel-variant and cache-block axes (cache v3) round-trip too.
+  // The cache-block axis (cache v3) round-trips too.
   at::Config v;
   v.schedule = rt::Schedule::Static;
-  v.reg_tile = 2;
-  v.vec_width = 4;
-  v.unroll = 2;
   v.cache_block = 512;
   const auto vback = at::Config::parse(v.to_string());
   ASSERT_TRUE(vback.has_value());
@@ -117,9 +116,8 @@ TEST(Autotune, ConfigToStringParseRoundTrip) {
   EXPECT_FALSE(at::Config::parse("grain=12abc").has_value());
   EXPECT_FALSE(at::Config::parse("local=8x8").has_value());
   EXPECT_FALSE(at::Config::parse("bogus=1").has_value());
-  EXPECT_FALSE(at::Config::parse("reg_tile=0").has_value());
-  EXPECT_FALSE(at::Config::parse("vec=x").has_value());
-  EXPECT_FALSE(at::Config::parse("unroll=").has_value());
+  // Tokens of axes the tuner no longer has are unknown, not ignored.
+  EXPECT_FALSE(at::Config::parse("reg_tile=2 vec=4 unroll=1").has_value());
   EXPECT_FALSE(at::Config::parse("cache_block=12ab").has_value());
   EXPECT_FALSE(at::Config::parse("layout=csr").has_value());
   EXPECT_FALSE(at::Config::parse("indirect=mutex").has_value());
@@ -145,12 +143,12 @@ TEST(Autotune, SiteKeyIsStableAndSanitized) {
 
   // The declared axis set is part of the key: two same-named
   // same-shaped sites whose lowerings race different knobs (a flat
-  // sweep with kernel variants vs a plain schedule-only site) must
-  // never collide in the cache.
-  at::Site variants = s;
-  variants.axes = at::kScheduleGrain | at::kVariantAxes;
-  EXPECT_NE(s.key(), variants.key());
-  EXPECT_NE(variants.key().find("|ax"), std::string::npos);
+  // sweep with cache blocks vs a plain schedule-only site) must never
+  // collide in the cache.
+  at::Site blocked = s;
+  blocked.axes = at::kScheduleGrain | at::kCacheBlock;
+  EXPECT_NE(s.key(), blocked.key());
+  EXPECT_NE(blocked.key().find("|ax"), std::string::npos);
 }
 
 TEST(Autotune, CacheRoundTripAndMalformedEntries) {
@@ -380,7 +378,7 @@ TEST(Autotune, CacheRejectsForeignVersionTamperAndTruncation) {
   data.fingerprint = "cores=8;l1d=32768;l2=1048576;llc=16777216;triad_log2=4";
   at::Config cfg;
   cfg.grain = 1024;
-  data.entries = {{"k1|1|65536x1x1|flat|fp16", cfg}};
+  data.entries = {{"k1|1|65536x1x1|flat|fp16", cfg, ""}};
   ASSERT_TRUE(at::write_cache(path, data));
   ASSERT_TRUE(at::read_cache(path).has_value());
 
@@ -396,16 +394,16 @@ TEST(Autotune, CacheRejectsForeignVersionTamperAndTruncation) {
   };
   const std::string pristine = slurp();
 
-  // A v2 file (pre-variant axes, no per-entry fp) is a foreign format:
-  // the caller silently retunes instead of trusting it. Same for v1.
+  // A v2 file (no per-entry fp) is a foreign format: the caller
+  // silently retunes instead of trusting it. Same for v1.
   std::string v2 = pristine;
-  const auto vpos = v2.find("\"syclport_tune_cache\": 4");
+  const auto vpos = v2.find("\"syclport_tune_cache\": 5");
   ASSERT_NE(vpos, std::string::npos);
   v2.replace(vpos, 24, "\"syclport_tune_cache\": 2");
   spit(v2);
   EXPECT_FALSE(at::read_cache(path).has_value());
   std::string v1 = pristine;
-  v1.replace(v1.find("\"syclport_tune_cache\": 4"), 24,
+  v1.replace(v1.find("\"syclport_tune_cache\": 5"), 24,
              "\"syclport_tune_cache\": 1");
   spit(v1);
   EXPECT_FALSE(at::read_cache(path).has_value());
@@ -440,16 +438,14 @@ TEST(Autotune, TransferSeedsFromNearestPlatformDonor) {
 
   // One shared cache holding the same kernel tuned on two machines:
   // one a core-count doubling away, one a different platform class.
-  at::Site donor_site = variant_site("donor");
+  at::Site donor_site = flat_sweep_site("donor");
   at::Config near_cfg;
   near_cfg.schedule = rt::Schedule::Static;
   near_cfg.grain = 1;
-  near_cfg.reg_tile = 2;
-  near_cfg.vec_width = 4;
-  near_cfg.unroll = 1;
+  near_cfg.cache_block = 1024;
   at::Config far_cfg = near_cfg;
   far_cfg.schedule = rt::Schedule::Dynamic;
-  far_cfg.reg_tile = 4;
+  far_cfg.cache_block = 0;
   at::CacheData data;
   data.fingerprint = fp_far;
   data.entries = {{donor_site.key(), far_cfg, fp_far},
@@ -457,7 +453,7 @@ TEST(Autotune, TransferSeedsFromNearestPlatformDonor) {
   ASSERT_TRUE(at::write_cache(path, data));
 
   at::Autotuner tuner(at::Autotuner::Mode::On, fp_me, path);
-  const at::Site recv = variant_site("recv");
+  const at::Site recv = flat_sweep_site("recv");
   const auto d = tuner.decide(recv);
   EXPECT_EQ(d.phase, at::Phase::Exploring)
       << "a foreign donor seeds the race, it is never served directly";
@@ -474,7 +470,7 @@ TEST(Autotune, TransferSeedsFromNearestPlatformDonor) {
 TEST(Autotune, TransferWarmStartExploresFewerLaunchesThanCold) {
   const std::string path = "test_autotune_cache_warmstart.json";
   std::remove(path.c_str());
-  const at::Site site = variant_site("warmstart");
+  const at::Site site = flat_sweep_site("warmstart");
   std::uint64_t cold_explored = 0;
   {
     at::Autotuner cold(at::Autotuner::Mode::On, "fp-machine-a", path);
@@ -500,11 +496,11 @@ TEST(Autotune, TransferAlsoSeedsAcrossSitesInProcess) {
   // No cache file at all: a second kernel with the same axis set seeds
   // from the first kernel's in-memory winner.
   at::Autotuner tuner(at::Autotuner::Mode::On, "fp-local", "");
-  const at::Site first = variant_site("first_kernel");
+  const at::Site first = flat_sweep_site("first_kernel");
   drive(tuner, first);
   ASSERT_TRUE(tuner.converged(first));
   const std::uint64_t after_first = tuner.explored_launches();
-  const at::Site second = variant_site("second_kernel");
+  const at::Site second = flat_sweep_site("second_kernel");
   drive(tuner, second);
   ASSERT_TRUE(tuner.converged(second));
   EXPECT_FALSE(tuner.seeded_from(second).empty());
@@ -516,7 +512,7 @@ TEST(Autotune, TransferAlsoSeedsAcrossSitesInProcess) {
 TEST(Autotune, TransferOffRunsTheFullSearch) {
   const std::string path = "test_autotune_cache_notransfer.json";
   std::remove(path.c_str());
-  const at::Site site = variant_site("notransfer");
+  const at::Site site = flat_sweep_site("notransfer");
   std::uint64_t cold_explored = 0;
   {
     at::Autotuner cold(at::Autotuner::Mode::On, "fp-machine-a", path);
@@ -533,56 +529,108 @@ TEST(Autotune, TransferOffRunsTheFullSearch) {
   std::remove(path.c_str());
 }
 
-TEST(Autotune, V2CacheFileRetunesSilently) {
-  // A v2-era file (previous release: no per-entry fp, no variant axes)
-  // must be rejected wholesale and the tuner must simply re-explore -
-  // no crash, no stale winner.
-  const std::string path = "test_autotune_cache_v2.json";
+TEST(Autotune, OpsSweepWarmStartHalvesExplorationBitExact) {
+  // The tuned 768 x 768 5-point ops::par_loop sweep of
+  // bench/ablation_autotune on the Threads backend: a cold race on
+  // machine A, then a race on machine B against A's cache file, which
+  // seeds B's pool instead of serving it. Successive halving explores a
+  // number of launches fixed by the candidate count, so the bound below
+  // does not depend on timing.
+  GlobalTunerGuard guard;
+  const std::string path = "test_autotune_cache_ops_warmstart.json";
   std::remove(path.c_str());
-  const at::Site site = sched_site("v2kernel");
-  {
-    at::Autotuner cold(at::Autotuner::Mode::On, "fp-v2", path);
-    drive(cold, site);
-  }
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    text = std::move(ss).str();
-  }
-  const auto vpos = text.find("\"syclport_tune_cache\": 4");
-  ASSERT_NE(vpos, std::string::npos);
-  text.replace(vpos, 24, "\"syclport_tune_cache\": 2");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  }
-  at::Autotuner retune(at::Autotuner::Mode::On, "fp-v2", path);
-  const auto d = retune.decide(site);
-  EXPECT_EQ(d.phase, at::Phase::Exploring);
-  EXPECT_EQ(d.seeded_from, nullptr)
-      << "a rejected file contributes no donors either";
-  drive(retune, site);
-  EXPECT_TRUE(retune.converged(site));
+  constexpr std::size_t n = 768;
+  at::Site site;
+  site.name = "warm_sweep";
+  site.dims = 2;
+  site.global = {n, n, 1};
+  site.axes = at::kScheduleGrain | at::kCacheBlock;
+
+  auto run = [&](ops::Backend be, bool tune, int max_iters) {
+    ops::Options o;
+    o.backend = be;
+    o.tune = tune;
+    o.record = false;
+    ops::Context ctx(o);
+    ops::Block grid(ctx, "g", 2, {n, n, 1});
+    ops::Dat<double> a(grid, "a", 1, 1), b(grid, "b", 1, 1);
+    for (long i = -1; i <= static_cast<long>(n); ++i)
+      for (long j = -1; j <= static_cast<long>(n); ++j)
+        a.at(i, j) = 0.01 * static_cast<double>(i - j);
+    std::vector<double> sums;
+    // Run until the race locks in, then a few launches of the winner.
+    int exploit_left = 4;
+    for (int it = 0; it < max_iters && exploit_left > 0; ++it) {
+      ops::par_loop(ctx, {"warm_sweep"}, grid, ops::Range::all(grid),
+                    [](ops::ACC<double> out, ops::ACC<double> in) {
+                      out(0, 0) = in(0, 0) +
+                                  0.2 * (in(1, 0) + in(-1, 0) + in(0, 1) +
+                                         in(0, -1) - 4.0 * in(0, 0));
+                    },
+                    ops::arg(b, ops::S_PT, ops::Acc::W),
+                    ops::arg(a, ops::S2D_5PT, ops::Acc::R));
+      sums.push_back(b.interior_sum());
+      if (!tune || at::Autotuner::instance().converged(site)) --exploit_left;
+    }
+    return sums;
+  };
+  const double ref = run(ops::Backend::Serial, false, 1).front();
+
+  auto race = [&](const char* fp) {
+    at::Autotuner::instance().reset(at::Autotuner::Mode::On, fp, path);
+    const auto sums = run(ops::Backend::Threads, true, 400);
+    EXPECT_TRUE(at::Autotuner::instance().converged(site)) << fp;
+    for (std::size_t it = 0; it < sums.size(); ++it)
+      EXPECT_EQ(sums[it], ref) << fp << " iteration " << it;
+    return at::Autotuner::instance().explored_launches();
+  };
+  const std::uint64_t cold = race("fp-machine-a");
+  const std::uint64_t warm = race("fp-machine-b");
+  EXPECT_FALSE(at::Autotuner::instance().seeded_from(site).empty())
+      << "machine B's race must be seeded from machine A's winner";
+  EXPECT_LT(warm * 2, cold) << "warm explored " << warm << " launches, cold "
+                            << cold;
   std::remove(path.c_str());
 }
 
-TEST(Autotune, VariantCandidatesStayOnTheCompiledMenu) {
-  // Whatever the race hands out must be an executable menu entry within
-  // the register-capacity bound - never an arbitrary cross product.
-  at::Autotuner tuner(at::Autotuner::Mode::On, "fp-menu", "");
-  const at::Site site = variant_site("menu");
-  for (int i = 0; i < 2000 && !tuner.converged(site); ++i) {
-    const auto d = tuner.decide(site);
-    ASSERT_TRUE(d.config.reg_tile && d.config.vec_width && d.config.unroll);
-    const at::VariantParams vp{*d.config.reg_tile, *d.config.vec_width,
-                               *d.config.unroll};
-    EXPECT_GE(at::variant_menu_index(vp), 0) << at::variant_id(vp);
-    EXPECT_LE(vp.span(), 16) << "default CPU register bound";
-    tuner.report(d, synthetic_cost(d.config));
+TEST(Autotune, V2CacheFileRetunesSilently) {
+  // A file from an older release (v2: no per-entry fp; v4: kernel-variant
+  // tokens this tuner no longer parses) must be rejected wholesale and
+  // the tuner must simply re-explore - no crash, no stale winner.
+  for (const int stale : {2, 4}) {
+    SCOPED_TRACE("cache version " + std::to_string(stale));
+    const std::string path =
+        "test_autotune_cache_v" + std::to_string(stale) + ".json";
+    std::remove(path.c_str());
+    const at::Site site = sched_site("stale_kernel");
+    {
+      at::Autotuner cold(at::Autotuner::Mode::On, "fp-stale", path);
+      drive(cold, site);
+    }
+    std::string text;
+    {
+      std::ifstream in(path, std::ios::binary);
+      std::ostringstream ss;
+      ss << in.rdbuf();
+      text = std::move(ss).str();
+    }
+    const auto vpos = text.find("\"syclport_tune_cache\": 5");
+    ASSERT_NE(vpos, std::string::npos);
+    text.replace(vpos, 24,
+                 "\"syclport_tune_cache\": " + std::to_string(stale));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    }
+    at::Autotuner retune(at::Autotuner::Mode::On, "fp-stale", path);
+    const auto d = retune.decide(site);
+    EXPECT_EQ(d.phase, at::Phase::Exploring);
+    EXPECT_EQ(d.seeded_from, nullptr)
+        << "a rejected file contributes no donors either";
+    drive(retune, site);
+    EXPECT_TRUE(retune.converged(site));
+    std::remove(path.c_str());
   }
-  EXPECT_TRUE(tuner.converged(site));
 }
 
 TEST(RowSegments, BlockedParallelForCoversEachPointOnceWithinRows) {

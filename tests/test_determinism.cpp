@@ -197,7 +197,7 @@ TEST_P(Determinism, BitIdenticalToSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, Determinism, ::testing::ValuesIn(cases()),
-                         [](const auto& info) {
-                           return std::string(info.param.workload.name) +
-                                  "_" + to_string(info.param.par);
+                         [](const auto& ti) {
+                           return std::string(ti.param.workload.name) +
+                                  "_" + to_string(ti.param.par);
                          });

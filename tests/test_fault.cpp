@@ -378,7 +378,7 @@ TEST(FaultCache, InjectedBitFlipRejectsFileAndCountsRecovery) {
   data.fingerprint = "cores=4;l1d=32768;l2=1048576;llc=8388608;triad_log2=4";
   at::Config cfg;
   cfg.grain = 512;
-  data.entries = {{"kern|1|4096x1x1|flat|fp9", cfg}};
+  data.entries = {{"kern|1|4096x1x1|flat|fp9", cfg, ""}};
   ASSERT_TRUE(at::write_cache(path, data));
   ASSERT_TRUE(at::read_cache(path).has_value());  // clean load works
 

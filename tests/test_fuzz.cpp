@@ -200,13 +200,13 @@ TEST(Fuzz, EnergyModelSanity) {
 }
 
 // ---------------------------------------------------------------------
-// Kernel variants: whatever register-tile x vector-width x unroll x
-// cache-block candidate the autotuner serves a launch, the results must
-// be bit-identical to the unparametrized reference loop - on shapes
-// nobody hand-picked, through the explore AND exploit phases, on both
-// flat lowerings (pool sweep and SYCL flat), stencil and reduction.
+// Tuned launches: whatever schedule x grain x cache-block candidate the
+// autotuner serves a launch, the results must be bit-identical to the
+// serial reference loop - on shapes nobody hand-picked, through the
+// explore AND exploit phases, on both flat lowerings (pool sweep and
+// SYCL flat), stencil and reduction.
 
-TEST(Fuzz, VariantServedLaunchesStayBitExact) {
+TEST(Fuzz, TunedLaunchesStayBitExact) {
   namespace at = syclport::rt::autotune;
   struct TunerGuard {
     ~TunerGuard() {
@@ -220,8 +220,8 @@ TEST(Fuzz, VariantServedLaunchesStayBitExact) {
     const std::size_t ny = 7 + rng() % 60;
     const std::size_t nx = 7 + rng() % 60;
     // Integer-valued input: the reduction below is exact in double for
-    // any accumulation order, so a mismatch can only mean a variant
-    // visited an index twice, skipped one, or mis-handled the tail.
+    // any accumulation order, so a mismatch can only mean a candidate
+    // visited an index twice, skipped one, or mis-handled a row end.
     auto run = [&](ops::Backend be, std::optional<bool> tune, int iters) {
       ops::Options o;
       o.backend = be;
@@ -265,7 +265,7 @@ TEST(Fuzz, VariantServedLaunchesStayBitExact) {
       }
       return std::pair{sweep0, red0};
     };
-    // 160 tuned iterations span the full variant race and the locked-in
+    // 160 tuned iterations span the full race and the locked-in
     // winner; every one must match the serial reference bit for bit.
     const auto ref = run(ops::Backend::Serial, false, 1);
     EXPECT_EQ(run(ops::Backend::Threads, true, 160), ref)

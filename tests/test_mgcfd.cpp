@@ -164,7 +164,9 @@ TEST(Mgcfd, ModelOnlyPaperScaleMeshTooBigIsNotBuilt) {
   EXPECT_EQ(rs.checksum, 0.0);
   EXPECT_GT(rs.profiles.size(), 20u);
   for (const auto& p : rs.profiles)
-    if (p.name == "compute_flux") EXPECT_GT(p.launches, 0u);
+    if (p.name == "compute_flux") {
+      EXPECT_GT(p.launches, 0u);
+    }
 }
 
 

@@ -356,18 +356,22 @@ TEST(Halo, SplitExchangeOverlapsInteriorMutation) {
     // which extend the global numbering across the block boundary.
     const auto ni = static_cast<std::ptrdiff_t>(f.local[0]);
     const auto nj = static_cast<std::ptrdiff_t>(f.local[1]);
-    if (cart.neighbour(0, -1) >= 0)
+    if (cart.neighbour(0, -1) >= 0) {
       for (std::ptrdiff_t j = 0; j < nj; ++j)
         EXPECT_DOUBLE_EQ(f.at(-1, j), value(-1, j));
-    if (cart.neighbour(0, +1) >= 0)
+    }
+    if (cart.neighbour(0, +1) >= 0) {
       for (std::ptrdiff_t j = 0; j < nj; ++j)
         EXPECT_DOUBLE_EQ(f.at(ni, j), value(ni, j));
-    if (cart.neighbour(1, -1) >= 0)
+    }
+    if (cart.neighbour(1, -1) >= 0) {
       for (std::ptrdiff_t i = 0; i < ni; ++i)
         EXPECT_DOUBLE_EQ(f.at(i, -1), value(i, -1));
-    if (cart.neighbour(1, +1) >= 0)
+    }
+    if (cart.neighbour(1, +1) >= 0) {
       for (std::ptrdiff_t i = 0; i < ni; ++i)
         EXPECT_DOUBLE_EQ(f.at(i, nj), value(i, nj));
+    }
   });
 }
 

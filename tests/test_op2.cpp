@@ -180,9 +180,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          Strategy::Hierarchical),
                        ::testing::Values(op2::Exec::Serial, op2::Exec::Threads,
                                          op2::Exec::Sycl)),
-    [](const auto& info) {
-      std::string name{syclport::to_string(std::get<0>(info.param))};
-      switch (std::get<1>(info.param)) {
+    [](const auto& ti) {
+      std::string name{syclport::to_string(std::get<0>(ti.param))};
+      switch (std::get<1>(ti.param)) {
         case op2::Exec::Serial: name += "_serial"; break;
         case op2::Exec::Threads: name += "_threads"; break;
         case op2::Exec::Sycl: name += "_sycl"; break;

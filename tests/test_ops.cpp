@@ -209,8 +209,8 @@ TEST_P(BackendSweep, BoundaryRangeWritesHalo) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendSweep,
                          ::testing::ValuesIn(kBackends),
-                         [](const auto& info) {
-                           return backend_name(info.param);
+                         [](const auto& ti) {
+                           return backend_name(ti.param);
                          });
 
 // --- row walker -------------------------------------------------------------
