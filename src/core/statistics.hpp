@@ -37,9 +37,8 @@ namespace syclport::stats {
 /// The p-th percentile of `xs` (p in [0, 100]), linearly interpolated
 /// between order statistics (the "linear" / type-7 definition, so
 /// percentile(xs, 50) == median and percentile(xs, 100) == max).
-/// Returns 0 for empty input; p is clamped to [0, 100]. The study
-/// service and launch_log tail-latency summaries (p50/p95/p99) are
-/// built on this.
+/// Returns 0 for empty input; p is clamped to [0, 100]. The launch_log
+/// tail-latency summaries (p50/p95/p99) are built on this.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 
 }  // namespace syclport::stats

@@ -723,10 +723,10 @@ bool Autotuner::save_locked() const {
     else
       data.entries.push_back({st->key, st->best, fingerprint_});
   }
-  // Merge-on-load: another process (or another service session) may
-  // have rewritten the file since our load; re-read and keep its
-  // entries for (key, fp) identities we are not rewriting ourselves,
-  // then publish the union through the atomic-rename path.
+  // Merge-on-load: another process may have rewritten the file since
+  // our load; re-read and keep its entries for (key, fp) identities we
+  // are not rewriting ourselves, then publish the union through the
+  // atomic-rename path.
   return write_cache_merged(cache_path_, data);
 }
 

@@ -41,7 +41,7 @@ bool write_cache(const std::string& path, const CacheData& data);
 /// `data` does not already carry - the merge-on-load half of the
 /// concurrent-rewrite story: a writer re-reads the file just before
 /// rewriting it so winners persisted by another process (or another
-/// service session) since its own load survive the rewrite. `data`'s
+/// thread) since its own load survive the rewrite. `data`'s
 /// own entries always win a (key, fp) collision - they are this
 /// writer's freshest measurements. Entries of `other` with an empty fp
 /// inherit `other.fingerprint` first.

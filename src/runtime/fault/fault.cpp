@@ -16,8 +16,7 @@ namespace {
 constexpr std::array<std::string_view, kSiteCount> kSiteNames = {
     "mem.alloc",    "mem.arena",   "pool.stall",  "sched.delay",
     "sched.reorder", "sched.throw", "comm.drop",   "comm.dup",
-    "comm.corrupt", "comm.delay",  "cache.corrupt", "svc.fail",
-    "rank.kill"};
+    "comm.corrupt", "comm.delay",  "cache.corrupt", "rank.kill"};
 
 /// How one site's entry decides whether an occurrence fires.
 struct Trigger {

@@ -21,7 +21,6 @@
 ///   comm.corrupt  halo payload bit-flipped in transit
 ///   comm.delay    halo message delivered late
 ///   cache.corrupt autotune cache bit-flipped on load
-///   svc.fail      study-service request computation failure
 ///   rank.kill     a mini-MPI rank dies mid-epoch (elastic recovery)
 ///
 /// Spec grammar (docs/resilience.md):
@@ -67,10 +66,9 @@ enum class Site : std::uint8_t {
   CommCorrupt,
   CommDelay,
   CacheCorrupt,
-  ServiceFail,
   RankKill,
 };
-inline constexpr std::size_t kSiteCount = 13;
+inline constexpr std::size_t kSiteCount = 12;
 
 [[nodiscard]] const char* to_string(Site s) noexcept;
 [[nodiscard]] std::optional<Site> site_from_string(std::string_view name);

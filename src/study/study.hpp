@@ -59,9 +59,8 @@ void scale_mgcfd_profiles(std::vector<hw::LoopProfile>& profiles,
 /// Aggregate one experiment cell from an already-obtained loop
 /// schedule: the pure tail of StudyRunner::run. A thread-safe function
 /// of its arguments (DeviceModel and the platform tables are
-/// read-only), so the study service shards batches of cells across the
-/// work-stealing executor once the schedules are in hand. Does NOT
-/// consult the SupportMatrix - the caller gates on it.
+/// read-only). Does NOT consult the SupportMatrix - the caller gates
+/// on it.
 [[nodiscard]] ExperimentResult aggregate_cell(
     std::span<const hw::LoopProfile> profiles, AppId app, PlatformId platform,
     const Variant& v);
@@ -83,12 +82,6 @@ class StudyRunner {
   [[nodiscard]] const std::vector<hw::LoopProfile>& schedule_for(
       AppId app, const Variant& v) {
     return schedule(app, v);
-  }
-
-  /// Number of distinct schedule classes built so far (the service
-  /// counts cold builds per admission round with this).
-  [[nodiscard]] std::size_t schedule_count() const {
-    return schedules_.size();
   }
 
  private:

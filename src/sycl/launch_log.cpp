@@ -7,14 +7,6 @@
 
 namespace sycl {
 
-namespace {
-
-/// Retained service latency samples: enough for a stable p99 over a
-/// full soak without letting a long-lived daemon grow the log forever.
-constexpr std::size_t kServiceLatencyCap = 1u << 16;
-
-}  // namespace
-
 launch_log& launch_log::instance() {
   static launch_log log;
   return log;
@@ -57,36 +49,12 @@ launch_log::kernel_timing_summaries() const {
   return out;
 }
 
-void launch_log::append_service(const service_event& e) {
-  std::lock_guard lock(mu_);
-  service_.completed += 1;
-  service_.computed += e.computed ? 1 : 0;
-  service_.coalesced += e.coalesced ? 1 : 0;
-  service_.cache_hits += e.cache_hit ? 1 : 0;
-  service_.errors += e.error ? 1 : 0;
-  service_.stale += e.stale ? 1 : 0;
-  if (service_latencies_.size() < kServiceLatencyCap)
-    service_latencies_.push_back(e.latency_s);
-}
-
 void launch_log::append_recovery(recovery_record rec) {
-  // Same always-on contract as service events; a run recovering more
-  // than this many times is stuck, not elastic.
+  // Always on but bounded: a run recovering more than this many times
+  // is stuck, not elastic.
   constexpr std::size_t kRecoveryCap = 4096;
   std::lock_guard lock(mu_);
   if (recoveries_.size() < kRecoveryCap) recoveries_.push_back(std::move(rec));
-}
-
-ServiceTelemetry launch_log::service_telemetry() const {
-  ServiceTelemetry t;
-  std::vector<double> samples;
-  {
-    std::lock_guard lock(mu_);
-    t = service_;
-    samples = service_latencies_;
-  }
-  t.latency = summarize_timings(samples);
-  return t;
 }
 
 }  // namespace sycl

@@ -115,8 +115,8 @@ struct FusionStats {
 
 /// Distribution summary of a set of timing samples: count, total, mean
 /// and the p50/p95/p99 tail percentiles (stats::percentile). The study
-/// report and the service telemetry print these columns so tail
-/// behaviour is visible next to the means the paper quotes.
+/// report prints these columns so tail behaviour is visible next to the
+/// means the paper quotes.
 struct TimingSummary {
   std::size_t count = 0;
   double total_s = 0.0;
@@ -130,23 +130,10 @@ struct TimingSummary {
 [[nodiscard]] TimingSummary summarize_timings(
     const std::vector<double>& seconds);
 
-/// One study-service request outcome, reported by study::Service when
-/// the request completes (docs/service.md). Recorded unconditionally -
-/// the service counters are part of the process telemetry like
-/// memory_stats(), not of the per-launch trace.
-struct service_event {
-  double latency_s = 0.0;  ///< submit-to-completion wall time
-  bool computed = false;   ///< a fresh kernel sweep served it
-  bool coalesced = false;  ///< rode an identical in-flight request
-  bool cache_hit = false;  ///< served by the content-addressed cache
-  bool error = false;      ///< completed with a typed error
-  bool stale = false;      ///< degraded mode: last good result, flagged
-};
-
 /// One elastic-recovery event, reported by mpi::run_elastic when a
 /// failed epoch is rolled back to its last auto-checkpoint and resumed
-/// (docs/resilience.md "Elastic recovery"). Recorded unconditionally,
-/// like service events: recovery is process telemetry, not part of the
+/// (docs/resilience.md "Elastic recovery"). Recorded unconditionally:
+/// recovery is process telemetry like memory_stats(), not part of the
 /// per-launch trace.
 struct recovery_record {
   std::uint64_t epoch = 0;      ///< index of the epoch that failed
@@ -157,23 +144,6 @@ struct recovery_record {
   double detect_ms = 0.0;       ///< rank death -> driver classification
   int rollback_steps = 0;       ///< completed steps discarded by rollback
   std::uint64_t agreement = 0;  ///< deterministic epoch-agreement token
-};
-
-/// Cumulative study-service telemetry for this process.
-struct ServiceTelemetry {
-  std::uint64_t completed = 0;
-  std::uint64_t computed = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t stale = 0;  ///< degraded-mode stale-cache completions
-  TimingSummary latency;  ///< over the retained latency samples
-
-  [[nodiscard]] double cache_hit_rate() const {
-    return completed == 0 ? 0.0
-                          : static_cast<double>(cache_hits) /
-                                static_cast<double>(completed);
-  }
 };
 
 /// Process-wide, thread-safe launch log.
@@ -254,14 +224,6 @@ class launch_log {
   [[nodiscard]] std::vector<std::pair<std::string, TimingSummary>>
   kernel_timing_summaries() const;
 
-  /// Record one study-service request outcome (always on; cheap).
-  /// Latency samples are retained up to a fixed cap so a multi-hour
-  /// soak cannot grow the log unboundedly - p99 over the first 64K
-  /// samples is plenty stable.
-  void append_service(const service_event& e);
-
-  [[nodiscard]] ServiceTelemetry service_telemetry() const;
-
   /// Record one elastic-recovery event (always on; bounded).
   void append_recovery(recovery_record rec);
 
@@ -276,8 +238,6 @@ class launch_log {
     commands_.clear();
     fusions_.clear();
     localities_.clear();
-    service_ = ServiceTelemetry{};
-    service_latencies_.clear();
     recoveries_.clear();
   }
 
@@ -316,8 +276,6 @@ class launch_log {
   std::vector<command_record> commands_;
   std::vector<fusion_record> fusions_;
   std::vector<locality_record> localities_;
-  ServiceTelemetry service_;  ///< latency field filled on snapshot
-  std::vector<double> service_latencies_;
   std::vector<recovery_record> recoveries_;
 };
 

@@ -19,13 +19,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -38,8 +36,6 @@
 #include "core/report.hpp"
 #include "stream/babelstream.hpp"
 #include "sycl/launch_log.hpp"
-#include "study/service.hpp"
-#include "study/session.hpp"
 #include "study/study.hpp"
 #include "study/trace.hpp"
 
@@ -49,16 +45,11 @@ namespace {
 
 int usage() {
   std::cout <<
-      "usage: syclport <list|run|validate|stream|report|serve|client> "
-      "[options]\n"
+      "usage: syclport <list|run|validate|stream|report> [options]\n"
       "  run      --app <app> [--platform <platform>] [--variant <v>]\n"
       "           [--strategy atomics|global|hierarchical] [--trace <f.json>]\n"
       "  validate --app <app> [--backend serial|threads|sycl-flat|sycl-nd|mpi]\n"
       "  report   [--out <file.md>]   full study as a markdown report\n"
-      "  serve    [--clients <n>] [--requests <m>] [--cache <f.json>]\n"
-      "           study-service soak: n sessions x m requests, telemetry\n"
-      "  client   --app <app> [--platform <p>] [--variant <v>]\n"
-      "           [--cache <f.json>]   one query through the service\n"
       "run 'syclport list' for the valid names.\n";
   return 2;
 }
@@ -257,120 +248,6 @@ int cmd_stream() {
                                0)});
   }
   t.render(std::cout);
-  return 0;
-}
-
-/// Every supported experiment cell as a bench-scale service request:
-/// the workload the serve soak and the report's service exercise share.
-std::vector<study::StudyRequest> service_matrix() {
-  std::vector<study::StudyRequest> reqs;
-  for (AppId a : kAllApps)
-    for (PlatformId p : kAllPlatforms) {
-      const auto vars = a == AppId::MGCFD ? study::mgcfd_variants(p)
-                                          : study::structured_variants(p);
-      for (const Variant& v : vars)
-        reqs.push_back({a, p, v, study::StudyRequest::Scale::Bench});
-    }
-  return reqs;
-}
-
-void render_service_stats(std::ostream& os, const study::ServiceStats& s) {
-  report::Table t({"metric", "value"});
-  t.add_row({"requests completed", std::to_string(s.completed)});
-  t.add_row({"fresh computes", std::to_string(s.computed)});
-  t.add_row({"coalesced waiters", std::to_string(s.coalesced)});
-  t.add_row({"cache hits", std::to_string(s.cache_hits)});
-  t.add_row({"  from persistent cache", std::to_string(s.persistent_hits)});
-  t.add_row({"typed errors", std::to_string(s.errors)});
-  t.add_row({"admission rounds", std::to_string(s.batches)});
-  t.add_row({"largest round", std::to_string(s.max_batch)});
-  t.add_row({"cold schedule builds", std::to_string(s.schedule_builds)});
-  t.add_row({"dedup ratio", report::fmt_percent(s.dedup_ratio())});
-  t.add_row({"cache-hit rate", report::fmt_percent(s.cache_hit_rate())});
-  t.add_row({"latency mean", report::fmt(s.mean_ms, 3) + " ms"});
-  t.add_row({"latency p50", report::fmt(s.p50_ms, 3) + " ms"});
-  t.add_row({"latency p95", report::fmt(s.p95_ms, 3) + " ms"});
-  t.add_row({"latency p99", report::fmt(s.p99_ms, 3) + " ms"});
-  t.render(os);
-}
-
-int cmd_serve(std::size_t n_clients, std::size_t n_requests,
-              const std::string& cache_path) {
-  study::ServiceConfig cfg = study::ServiceConfig::from_env();
-  if (!cache_path.empty()) cfg.cache_path = cache_path;
-  study::Service svc(cfg);
-  const auto matrix = service_matrix();
-
-  std::cout << "study service: " << n_clients << " sessions x " << n_requests
-            << " requests over " << matrix.size() << " distinct cells\n";
-  std::vector<std::thread> clients;
-  std::vector<std::uint64_t> client_errors(n_clients, 0);
-  clients.reserve(n_clients);
-  for (std::size_t c = 0; c < n_clients; ++c) {
-    clients.emplace_back([&, c] {
-      study::Session session(svc, "client-" + std::to_string(c));
-      for (std::size_t i = 0; i < n_requests; ++i) {
-        // Deterministic per-client stride through the matrix: plenty of
-        // cross-client duplication (the coalescing/caching story), no
-        // shared RNG.
-        const auto& q = matrix[(c * 7 + i) % matrix.size()];
-        try {
-          (void)session.query(q);
-        } catch (const study::service_error&) {
-          client_errors[c] += 1;
-        }
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-
-  const auto s = svc.stats();
-  render_service_stats(std::cout, s);
-  std::uint64_t errors = 0;
-  for (auto e : client_errors) errors += e;
-  if (errors != 0)
-    std::cout << errors << " requests ended in typed errors "
-              << "(fault injection armed?)\n";
-  svc.shutdown();
-  return 0;
-}
-
-int cmd_client(AppId app, std::optional<PlatformId> platform,
-               std::optional<Variant> variant, std::optional<Strategy> strategy,
-               const std::string& cache_path) {
-  study::ServiceConfig cfg = study::ServiceConfig::from_env();
-  if (!cache_path.empty()) cfg.cache_path = cache_path;
-  if (cfg.cache_path.empty()) cfg.cache_path = "syclport_service_cache.json";
-  study::Service svc(cfg);
-  study::Session session(svc, "cli");
-
-  const PlatformId p = platform.value_or(PlatformId::A100);
-  Variant v = variant.value_or(study::native_variant(p));
-  if (app == AppId::MGCFD && v.strategy == Strategy::None)
-    v.strategy = strategy.value_or(Strategy::Atomics);
-  study::StudyRequest q{app, p, v, study::StudyRequest::Scale::Paper};
-
-  try {
-    const auto reply = session.query(q);
-    const auto& r = reply.result;
-    std::cout << study::request_key(q) << "\n";
-    if (r.ok()) {
-      std::cout << "runtime " << report::fmt(r.runtime_s, 3) << " s, eff bw "
-                << report::fmt(r.eff_bw_gbs, 0) << " GB/s, efficiency "
-                << report::fmt_percent(r.efficiency) << "\n";
-    } else {
-      std::cout << "cell status: " << to_string(r.status) << "\n";
-    }
-    std::cout << (reply.cache_hit ? "served from cache" : "computed") << " in "
-              << report::fmt(reply.latency_ms, 3) << " ms ("
-              << reply.bytes.size() << " result bytes)\n";
-  } catch (const study::service_error& e) {
-    std::cerr << "service error (" << study::to_string(e.kind)
-              << "): " << e.what() << "\n";
-    svc.shutdown();
-    return 1;
-  }
-  svc.shutdown();
   return 0;
 }
 
@@ -658,46 +535,6 @@ int cmd_report(const std::string& out_path) {
     log.clear();
   }
 
-  // Study-service exercise (docs/service.md): the full bench-scale
-  // matrix through the in-process daemon from four concurrent sessions,
-  // two passes each - the second pass is all warm cache hits - then the
-  // admission/caching telemetry with its tail-latency percentiles.
-  {
-    study::Service svc({/*cache_path=*/"", /*max_batch=*/256, /*spin_us=*/50});
-    const auto matrix = service_matrix();
-    std::vector<std::thread> clients;
-    for (std::size_t c = 0; c < 4; ++c)
-      clients.emplace_back([&svc, &matrix, c] {
-        study::Session session(svc, "report-" + std::to_string(c));
-        for (std::size_t pass = 0; pass < 2; ++pass)
-          for (std::size_t i = 0; i < matrix.size(); ++i) {
-            try {
-              (void)session.query(matrix[(c * 11 + i) % matrix.size()]);
-            } catch (const study::service_error&) {
-            }
-          }
-      });
-    for (auto& t : clients) t.join();
-    const auto s = svc.stats();
-    out << "\n## Study service (concurrent soak, this process)\n\n"
-        << "| metric | value |\n|---|---|\n"
-        << "| requests completed | " << s.completed << " |\n"
-        << "| fresh computes | " << s.computed << " |\n"
-        << "| coalesced waiters | " << s.coalesced << " |\n"
-        << "| cache hits | " << s.cache_hits << " |\n"
-        << "| typed errors | " << s.errors << " |\n"
-        << "| admission rounds | " << s.batches << " |\n"
-        << "| largest round | " << s.max_batch << " |\n"
-        << "| cold schedule builds | " << s.schedule_builds << " |\n"
-        << "| dedup ratio | " << report::fmt_percent(s.dedup_ratio()) << " |\n"
-        << "| cache-hit rate | " << report::fmt_percent(s.cache_hit_rate())
-        << " |\n"
-        << "| latency mean / p50 / p95 / p99 | " << report::fmt(s.mean_ms, 3)
-        << " / " << report::fmt(s.p50_ms, 3) << " / "
-        << report::fmt(s.p95_ms, 3) << " / " << report::fmt(s.p99_ms, 3)
-        << " ms |\n";
-    svc.shutdown();
-  }
   std::cout << "report written to " << out_path << "\n";
   return 0;
 }
@@ -710,8 +547,8 @@ int main(int argc, char** argv) {
   const std::string cmd = args[0];
 
   std::map<std::string, std::string> opts;
-  for (std::size_t i = 1; i + 1 < args.size(); i += 2) {
-    if (args[i].rfind("--", 0) != 0) return usage();
+  for (std::size_t i = 1; i < args.size(); i += 2) {
+    if (args[i].rfind("--", 0) != 0 || i + 1 == args.size()) return usage();
     opts[args[i].substr(2)] = args[i + 1];
   }
 
@@ -719,15 +556,6 @@ int main(int argc, char** argv) {
   if (cmd == "stream") return cmd_stream();
   if (cmd == "report")
     return cmd_report(opts.count("out") ? opts["out"] : "study_report.md");
-  if (cmd == "serve") {
-    const auto num = [&](const char* name, std::size_t fallback) {
-      if (!opts.count(name)) return fallback;
-      const long v = std::strtol(opts[name].c_str(), nullptr, 10);
-      return v > 0 ? static_cast<std::size_t>(v) : fallback;
-    };
-    return cmd_serve(num("clients", 8), num("requests", 64),
-                     opts.count("cache") ? opts["cache"] : "");
-  }
 
   const auto app_it = opts.find("app");
   if (app_it == opts.end()) return usage();
@@ -740,7 +568,7 @@ int main(int argc, char** argv) {
   if (cmd == "validate")
     return cmd_validate(*app, opts.count("backend") ? opts["backend"] : "");
 
-  if (cmd == "run" || cmd == "client") {
+  if (cmd == "run") {
     std::optional<PlatformId> platform;
     if (opts.count("platform")) {
       platform = parse_platform_slug(opts["platform"]);
@@ -765,9 +593,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (cmd == "client")
-      return cmd_client(*app, platform, variant, strategy,
-                        opts.count("cache") ? opts["cache"] : "");
     return cmd_run(*app, platform, variant, strategy,
                    opts.count("trace") ? opts["trace"] : "");
   }

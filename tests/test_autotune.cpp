@@ -1,8 +1,9 @@
 // Tests for the online autotuner (runtime/autotune): config/site/cache
 // round-trips, successive-halving convergence, fingerprint guarding,
-// tuned-vs-untuned determinism, hardened env parsing, and exploration
-// thread safety under the out-of-order queue (the Autotune suite runs
-// under the TSan preset).
+// tuned-vs-untuned determinism, hardened env parsing, exploration
+// thread safety under the out-of-order queue, and cache files that
+// survive many concurrent writers (the Autotune suite runs under the
+// TSan preset).
 
 #include <gtest/gtest.h>
 
@@ -10,9 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ops/ops.hpp"
@@ -74,6 +77,14 @@ struct GlobalTunerGuard {
   ~GlobalTunerGuard() {
     at::Autotuner::instance().reset(at::Autotuner::Mode::Off, "", "");
   }
+};
+
+struct TempFile {
+  explicit TempFile(std::string p) : path(std::move(p)) {
+    std::remove(path.c_str());
+  }
+  ~TempFile() { std::remove(path.c_str()); }
+  std::string path;
 };
 
 }  // namespace
@@ -631,6 +642,55 @@ TEST(Autotune, V2CacheFileRetunesSilently) {
     EXPECT_TRUE(retune.converged(site));
     std::remove(path.c_str());
   }
+}
+
+TEST(Autotune, CacheSurvivesManyConcurrentWriters) {
+  namespace at = rt::autotune;
+  TempFile file("tune_cache_stress.json");
+
+  constexpr std::size_t kWriters = 16;
+  constexpr std::size_t kRoundsPerWriter = 20;
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      for (std::size_t round = 0; round < kRoundsPerWriter; ++round) {
+        at::CacheData data;
+        data.fingerprint = "stress-machine";
+        at::CacheData::Entry e;
+        e.key = "kernel_" + std::to_string(w);
+        e.config.grain = round + 1;
+        data.entries.push_back(e);
+        // Unique temp + rename + merge-on-load: every published image
+        // must be complete and internally consistent, whatever the
+        // interleaving.
+        EXPECT_TRUE(at::write_cache_merged(file.path, data));
+      }
+    });
+  for (auto& th : writers) th.join();
+
+  const auto final_image = at::read_cache(file.path);
+  ASSERT_TRUE(final_image.has_value()) << "torn or corrupt cache image";
+  EXPECT_EQ(final_image->fingerprint, "stress-machine");
+  std::set<std::string> keys;
+  for (const auto& e : final_image->entries) {
+    EXPECT_EQ(e.key.rfind("kernel_", 0), 0u);
+    keys.insert(e.key);
+  }
+  EXPECT_EQ(keys.size(), final_image->entries.size()) << "duplicate keys";
+  // The last writer to publish merged the file it saw, so its own key
+  // is certainly present; merge-on-load keeps the union growing toward
+  // all writers (every writer's final round re-merges what survived).
+  EXPECT_GE(keys.size(), 1u);
+
+  // One more merged write from this thread must preserve whatever
+  // survived the stress *and* its own entry.
+  at::CacheData data;
+  data.fingerprint = "stress-machine";
+  data.entries.push_back({"kernel_final", at::Config{}, ""});
+  EXPECT_TRUE(at::write_cache_merged(file.path, data));
+  const auto merged = at::read_cache(file.path);
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(merged->entries.size(), keys.size() + 1);
 }
 
 TEST(RowSegments, BlockedParallelForCoversEachPointOnceWithinRows) {
