@@ -35,21 +35,6 @@ namespace fault = rt::fault;
   return static_cast<int>(v.value_or(4));
 }
 
-/// Heartbeat cadence (SYCLPORT_HEARTBEAT_MS). 0 = monitoring off.
-/// Zero/negative cadences are rejected through the warn-once path, not
-/// silently accepted as "off with no diagnostics".
-[[nodiscard]] std::chrono::milliseconds heartbeat_interval() {
-  const auto v = rt::env::get_long("SYCLPORT_HEARTBEAT_MS", 1, 60'000);
-  return std::chrono::milliseconds(v.value_or(0));
-}
-
-[[nodiscard]] std::uint64_t steady_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Move every delayed message whose release time has passed into its
 /// destination mailbox. Caller holds w.mu; returns true if any message
 /// became deliverable.
@@ -87,21 +72,9 @@ bool flush_delayed_locked(detail::World& w,
 
 }  // namespace
 
-void Comm::heartbeat() {
-  auto& w = *world_;
-  if (!w.heartbeats_on) return;
-  const auto r = static_cast<std::size_t>(rank_);
-  w.beats[r].store(steady_ms(), std::memory_order_relaxed);
-  if (w.evicted[r].load(std::memory_order_acquire))
-    throw comm_error(comm_error::Kind::PeerFailed,
-                     "mini-MPI heartbeat: rank " + std::to_string(rank_) +
-                         " was evicted by the heartbeat monitor");
-}
-
 void Comm::send_bytes(int dest, int tag, std::span<const std::byte> data) {
   if (dest < 0 || dest >= size())
     throw std::out_of_range("mini-MPI send: bad destination rank");
-  heartbeat();
   auto& w = *world_;
   {
     std::lock_guard lock(w.mu);
@@ -157,7 +130,6 @@ void Comm::send_bytes(int dest, int tag, std::span<const std::byte> data) {
 void Comm::recv_bytes(int src, int tag, std::span<std::byte> out) {
   if (src < 0 || src >= size())
     throw std::out_of_range("mini-MPI recv: bad source rank");
-  heartbeat();
   auto& w = *world_;
   std::unique_lock lock(w.mu);
   auto& box = w.mailboxes[static_cast<std::size_t>(rank_)];
@@ -316,7 +288,6 @@ void Comm::recv_bytes(int src, int tag, std::span<std::byte> out) {
 }
 
 void Comm::barrier() {
-  heartbeat();
   auto& w = *world_;
   std::unique_lock lock(w.mu);
   const std::uint64_t gen = w.barrier_generation;
@@ -363,18 +334,6 @@ void run(int nranks, const std::function<void(Comm&)>& rank_fn) {
   if (nranks < 1) throw std::invalid_argument("mini-MPI run: nranks < 1");
   auto world = std::make_shared<detail::World>(nranks);
 
-  // Proactive failure detection (docs/resilience.md "Elastic
-  // recovery"): with SYCLPORT_HEARTBEAT_MS set, every comm operation
-  // beats and a monitor thread evicts ranks that have been silent for
-  // several intervals - a dead or wedged peer is discovered without
-  // any rank first blocking on a recv from it.
-  const auto hb = heartbeat_interval();
-  world->heartbeats_on = hb.count() > 0;
-  if (world->heartbeats_on) {
-    const std::uint64_t now = steady_ms();
-    for (auto& b : world->beats) b.store(now, std::memory_order_relaxed);
-  }
-
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks));
   std::mutex err_mu;
@@ -398,47 +357,10 @@ void run(int nranks, const std::function<void(Comm&)>& rank_fn) {
         }
         world->cv.notify_all();
       }
-      world->done[static_cast<std::size_t>(r)].store(
-          1, std::memory_order_release);
-    });
-  }
-
-  std::thread monitor;
-  std::atomic<bool> monitor_stop{false};
-  if (world->heartbeats_on) {
-    monitor = std::thread([&, hb] {
-      // A rank is evicted after ~4 missed intervals: late enough that a
-      // scheduling hiccup never trips it, early enough that detection
-      // beats the comm-timeout path by an order of magnitude.
-      const auto silence =
-          static_cast<std::uint64_t>(hb.count()) * 4 + 1;
-      while (!monitor_stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(hb / 2 + std::chrono::milliseconds(1));
-        const std::uint64_t now = steady_ms();
-        for (int r = 0; r < nranks; ++r) {
-          const auto i = static_cast<std::size_t>(r);
-          if (world->done[i].load(std::memory_order_acquire)) continue;
-          if (world->evicted[i].load(std::memory_order_acquire)) continue;
-          const std::uint64_t last =
-              world->beats[i].load(std::memory_order_relaxed);
-          if (now <= last || now - last < silence) continue;
-          world->evicted[i].store(1, std::memory_order_release);
-          {
-            std::lock_guard lock(world->mu);
-            ++world->failed;
-            world->detect_ms = static_cast<double>(now - last);
-          }
-          world->cv.notify_all();
-        }
-      }
     });
   }
 
   for (auto& t : threads) t.join();
-  if (monitor.joinable()) {
-    monitor_stop.store(true, std::memory_order_release);
-    monitor.join();
-  }
   if (failures.empty()) return;
   std::sort(failures.begin(), failures.end(),
             [](const auto& a, const auto& b) { return a.rank < b.rank; });

@@ -20,7 +20,6 @@
 /// comm_error instead of a hang. Disarmed, the transport is exactly the
 /// original copy-into-mailbox path.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -96,11 +95,7 @@ struct DelayedMessage {
 /// Shared state of one communicator world.
 struct World {
   explicit World(int n)
-      : size(n),
-        mailboxes(static_cast<std::size_t>(n)),
-        beats(static_cast<std::size_t>(n)),
-        done(static_cast<std::size_t>(n)),
-        evicted(static_cast<std::size_t>(n)) {}
+      : size(n), mailboxes(static_cast<std::size_t>(n)) {}
 
   int size;
   std::mutex mu;
@@ -118,16 +113,6 @@ struct World {
   /// barriers check this and raise comm_error(PeerFailed) instead of
   /// waiting for progress a dead peer can never make.
   int failed = 0;
-
-  // Heartbeat state (docs/resilience.md "Elastic recovery"). With
-  // SYCLPORT_HEARTBEAT_MS set, run() spawns a monitor thread that
-  // evicts ranks silent for several intervals, so peer death is
-  // discovered proactively rather than only when a recv blocks.
-  bool heartbeats_on = false;           ///< set once before ranks start
-  std::vector<std::atomic<std::uint64_t>> beats;  ///< last beat, steady ms
-  std::vector<std::atomic<std::uint8_t>> done;    ///< rank_fn returned
-  std::vector<std::atomic<std::uint8_t>> evicted; ///< monitor-declared dead
-  double detect_ms = 0.0;  ///< silence-to-eviction latency (guarded by mu)
 
   // Armed-transport state, keyed by the packed (src,dst,tag) channel id
   // (see channel_key in comm.cpp). Guarded by mu; untouched while the
@@ -214,14 +199,6 @@ class Comm {
   }
 
   void barrier();
-
-  /// Record liveness with the heartbeat monitor (no-op when heartbeats
-  /// are off). Called implicitly by every communication operation; a
-  /// compute-heavy loop that goes long between messages should call it
-  /// directly. Throws comm_error(PeerFailed) when this rank was already
-  /// evicted by the monitor - the rank discovers its own eviction at
-  /// the next beat and unwinds instead of racing the survivors.
-  void heartbeat();
 
   /// Allreduce of a scalar (Sum/Min/Max).
   template <typename T>

@@ -3,7 +3,6 @@
 #include <array>
 #include <charconv>
 #include <chrono>
-#include <map>
 #include <mutex>
 #include <thread>
 
@@ -16,7 +15,7 @@ namespace {
 constexpr std::array<std::string_view, kSiteCount> kSiteNames = {
     "mem.alloc",    "mem.arena",   "pool.stall",  "sched.delay",
     "sched.reorder", "sched.throw", "comm.drop",   "comm.dup",
-    "comm.corrupt", "comm.delay",  "cache.corrupt", "rank.kill"};
+    "comm.corrupt", "comm.delay",  "cache.corrupt"};
 
 /// How one site's entry decides whether an occurrence fires.
 struct Trigger {
@@ -37,11 +36,6 @@ struct PlanState {
   std::array<std::uint64_t, kSiteCount> occurrence{};
   std::array<std::uint64_t, kSiteCount> injected{};
   std::array<std::uint64_t, kSiteCount> recovered{};
-  /// roll_shared memo: the decision every caller of one (site, stream,
-  /// occurrence) shares, keyed by the draw value (unique per tuple
-  /// under one seed). Bounded by the number of distinct shared events
-  /// a run rolls (step boundaries, not messages).
-  std::map<std::uint64_t, Roll> shared;
 };
 
 std::mutex& g_mu() {
@@ -236,19 +230,6 @@ Roll roll_stream(Site site, std::uint64_t stream,
   return decide_locked(g_plan(), site, stream, occurrence);
 }
 
-Roll roll_shared(Site site, std::uint64_t stream,
-                 std::uint64_t occurrence) noexcept {
-  if (!armed()) return {};
-  std::lock_guard lock(g_mu());
-  PlanState& plan = g_plan();
-  const std::uint64_t key = draw(plan.seed, site, stream, occurrence);
-  if (const auto it = plan.shared.find(key); it != plan.shared.end())
-    return it->second;
-  const Roll r = decide_locked(plan, site, stream, occurrence);
-  plan.shared.emplace(key, r);
-  return r;
-}
-
 void inject_sleep(std::uint64_t value, std::uint64_t min_us,
                   std::uint64_t max_us) noexcept {
   const std::uint64_t span = max_us > min_us ? max_us - min_us : 1;
@@ -278,7 +259,6 @@ void reset_stats_for_testing() {
   plan.occurrence.fill(0);
   plan.injected.fill(0);
   plan.recovered.fill(0);
-  plan.shared.clear();
 }
 
 bool configure(std::string_view spec) {

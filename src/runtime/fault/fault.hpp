@@ -21,7 +21,6 @@
 ///   comm.corrupt  halo payload bit-flipped in transit
 ///   comm.delay    halo message delivered late
 ///   cache.corrupt autotune cache bit-flipped on load
-///   rank.kill     a mini-MPI rank dies mid-epoch (elastic recovery)
 ///
 /// Spec grammar (docs/resilience.md):
 ///   SYCLPORT_FAULT = <seed> ':' <entry> (',' <entry>)*
@@ -66,9 +65,8 @@ enum class Site : std::uint8_t {
   CommCorrupt,
   CommDelay,
   CacheCorrupt,
-  RankKill,
 };
-inline constexpr std::size_t kSiteCount = 12;
+inline constexpr std::size_t kSiteCount = 11;
 
 [[nodiscard]] const char* to_string(Site s) noexcept;
 [[nodiscard]] std::optional<Site> site_from_string(std::string_view name);
@@ -106,16 +104,6 @@ struct Roll {
 /// as the stream and the message sequence number as the occurrence -
 /// so the decision is independent of thread interleaving.
 [[nodiscard]] Roll roll_stream(Site site, std::uint64_t stream,
-                               std::uint64_t occurrence) noexcept;
-
-/// Collective variant of roll_stream: every caller of the same (site,
-/// stream, occurrence) gets the *identical* decision, and a fired
-/// decision consumes exactly one unit of the entry's injection cap no
-/// matter how many callers observe it. This is what N ranks rolling one
-/// shared event (rank.kill at a step boundary) need - with roll_stream
-/// each rank's call would decrement the cap independently, making the
-/// number of injected events depend on the rank count.
-[[nodiscard]] Roll roll_shared(Site site, std::uint64_t stream,
                                std::uint64_t occurrence) noexcept;
 
 /// Sleep for a short, bounded, deterministic interval derived from a

@@ -49,12 +49,4 @@ launch_log::kernel_timing_summaries() const {
   return out;
 }
 
-void launch_log::append_recovery(recovery_record rec) {
-  // Always on but bounded: a run recovering more than this many times
-  // is stuck, not elastic.
-  constexpr std::size_t kRecoveryCap = 4096;
-  std::lock_guard lock(mu_);
-  if (recoveries_.size() < kRecoveryCap) recoveries_.push_back(std::move(rec));
-}
-
 }  // namespace sycl

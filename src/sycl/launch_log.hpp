@@ -13,6 +13,10 @@
 /// the per-kernel scheduling overhead the paper discusses, made
 /// measurable (bench/ablation_async.cpp).
 ///
+/// Five record kinds in all: launch and command records, plus the
+/// fusion and locality records the OPS/OP2 DSLs append and the
+/// process-wide memory and fault telemetry read through the log.
+///
 /// Thread safety: kernels of independent command groups execute
 /// concurrently on scheduler workers, so every record path takes the
 /// log mutex; the enabled() fast path is a lock-free atomic load so
@@ -130,22 +134,6 @@ struct TimingSummary {
 [[nodiscard]] TimingSummary summarize_timings(
     const std::vector<double>& seconds);
 
-/// One elastic-recovery event, reported by mpi::run_elastic when a
-/// failed epoch is rolled back to its last auto-checkpoint and resumed
-/// (docs/resilience.md "Elastic recovery"). Recorded unconditionally:
-/// recovery is process telemetry like memory_stats(), not part of the
-/// per-launch trace.
-struct recovery_record {
-  std::uint64_t epoch = 0;      ///< index of the epoch that failed
-  std::string policy;           ///< "shrink" / "respawn"
-  int ranks_before = 0;         ///< world size of the failed epoch
-  int ranks_after = 0;          ///< world size resuming the next epoch
-  int failed_rank = -1;         ///< victim rank id in the failed epoch
-  double detect_ms = 0.0;       ///< rank death -> driver classification
-  int rollback_steps = 0;       ///< completed steps discarded by rollback
-  std::uint64_t agreement = 0;  ///< deterministic epoch-agreement token
-};
-
 /// Process-wide, thread-safe launch log.
 class launch_log {
  public:
@@ -224,21 +212,12 @@ class launch_log {
   [[nodiscard]] std::vector<std::pair<std::string, TimingSummary>>
   kernel_timing_summaries() const;
 
-  /// Record one elastic-recovery event (always on; bounded).
-  void append_recovery(recovery_record rec);
-
-  [[nodiscard]] std::vector<recovery_record> recovery_snapshot() const {
-    std::lock_guard lock(mu_);
-    return recoveries_;
-  }
-
   void clear() {
     std::lock_guard lock(mu_);
     records_.clear();
     commands_.clear();
     fusions_.clear();
     localities_.clear();
-    recoveries_.clear();
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -276,7 +255,6 @@ class launch_log {
   std::vector<command_record> commands_;
   std::vector<fusion_record> fusions_;
   std::vector<locality_record> localities_;
-  std::vector<recovery_record> recoveries_;
 };
 
 }  // namespace sycl

@@ -17,7 +17,6 @@
 // MG-CFD adds --strategy atomics|global|hierarchical.
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -29,9 +28,6 @@
 
 #include "apps/acoustic/acoustic.hpp"
 #include "core/pp_metric.hpp"
-#include "minimpi/elastic.hpp"
-#include "ops/dist.hpp"
-#include "ops/dist_checkpoint.hpp"
 #include "runtime/fault/fault.hpp"
 #include "core/report.hpp"
 #include "stream/babelstream.hpp"
@@ -352,59 +348,6 @@ int cmd_report(const std::string& out_path) {
     }
     out << "| total | " << fs.total_injected() << " | "
         << fs.total_recovered() << " |\n";
-  }
-
-  // Elastic recovery (docs/resilience.md "Elastic recovery"): a small
-  // in-process exercise - 3 ranks, a seeded mid-run kill, shrink
-  // recovery from the auto-checkpoint - populates the recovery
-  // telemetry reported below.
-  {
-    namespace fault = syclport::rt::fault;
-    namespace mpi = syclport::mpi;
-    namespace dist = syclport::ops::dist;
-    const std::string ckpt = "report_elastic_ckpt.bin";
-    fault::configure("7:rank.kill=@2x1");
-    mpi::ElasticOptions eo;
-    eo.policy = mpi::Recovery::Shrink;
-    eo.ckpt_every = 2;
-    eo.ckpt_path = ckpt;
-    constexpr int kSteps = 6;
-    mpi::run_elastic(3, kSteps, eo, [&](mpi::Comm& comm, mpi::Epoch& ep) {
-      dist::DistContext ctx(comm, 2);
-      dist::DistDat<double> u(ctx, {16, 16, 1}, 1);
-      u.init([](std::size_t i, std::size_t j, std::size_t) {
-        return static_cast<double>(i * 31 + j);
-      });
-      const std::vector<dist::CkptField<double>> fields{{"u", &u}};
-      if (ep.resuming()) dist::restore_canonical(ep.checkpoint_path(), fields);
-      for (int s = ep.start_step(); s < kSteps; ++s) {
-        u.exchange_halos();
-        u.for_owned([&](std::size_t, std::size_t, std::size_t,
-                        std::ptrdiff_t li, std::ptrdiff_t lj,
-                        std::ptrdiff_t lk) {
-          u.field().at(li, lj, lk) *= 1.0001;
-        });
-        ep.step_done(s, [&] {
-          dist::checkpoint_canonical(ep.checkpoint_path(), fields);
-        });
-      }
-    });
-    fault::clear();
-    std::remove(ckpt.c_str());
-
-    const auto recs = sycl::launch_log::instance().recovery_snapshot();
-    out << "\n## Elastic recovery (seeded kill exercise, this process)\n\n"
-        << "| epoch | policy | ranks | failed rank | detect (ms) | rollback "
-           "steps | agreement |\n|---|---|---|---|---|---|---|\n";
-    for (const auto& r : recs) {
-      char token[20];
-      std::snprintf(token, sizeof token, "%016llx",
-                    static_cast<unsigned long long>(r.agreement));
-      out << "| " << r.epoch << " | " << r.policy << " | " << r.ranks_before
-          << "->" << r.ranks_after << " | " << r.failed_rank << " | "
-          << report::fmt(r.detect_ms, 3) << " | " << r.rollback_steps << " | "
-          << token << " |\n";
-    }
   }
 
   // Cross-loop fusion telemetry (docs/fusion.md): a small executed

@@ -619,14 +619,25 @@ TEST(OutOfOrder, CommandRecordsCarryDagAndTimestamps) {
   sycl::queue q;
   std::vector<double> v(32, 0.0);
   double* p = v.data();
+  // submit() counts only edges to commands still in flight, so the first
+  // command is held until the second has been submitted; otherwise a
+  // fast worker could retire it first and the RAW edge would go
+  // uncounted. submit() never runs a command inline while the scheduler
+  // is live, so holding it cannot deadlock.
+  std::atomic<bool> release{false};
   q.submit([&](sycl::handler& h) {
     touch(h, p, sycl::access_mode::write);
-    h.single_task([p] { p[0] = 1.0; });
+    h.single_task([p, &release] {
+      while (!release.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      p[0] = 1.0;
+    });
   });
   q.submit([&](sycl::handler& h) {
     touch(h, p, sycl::access_mode::read_write);
     h.single_task([p] { p[0] += 1.0; });
   });
+  release.store(true, std::memory_order_release);
   q.wait();
   log.set_enabled(false);
   const auto cmds = log.commands_snapshot();
