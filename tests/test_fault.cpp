@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -383,6 +385,173 @@ TEST(FaultComm, RecvFailsFastAfterPeerDeath) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
             10);
 }
+
+// ---------------------------------------------------------------------------
+// Rank death: whatever the survivors are blocked in, mpi::run ends with
+// the victim's one primary error (docs/resilience.md)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The blocking operation every surviving rank waits in, on the victim.
+enum class Wait { Recv, SendRecv, IrecvWait, Barrier, Allreduce, Allgather };
+
+[[nodiscard]] const char* wait_name(Wait w) {
+  switch (w) {
+    case Wait::Recv: return "recv";
+    case Wait::SendRecv: return "sendrecv";
+    case Wait::IrecvWait: return "irecv_wait";
+    case Wait::Barrier: return "barrier";
+    case Wait::Allreduce: return "allreduce";
+    default: return "allgather";
+  }
+}
+
+struct RankDeathCase {
+  Wait wait;
+  int victim;
+  bool armed;
+};
+
+/// The victim's own error type: distinct from comm_error, so a
+/// surfaced PeerFailed cascade can never pass for it.
+class rank_died : public std::runtime_error {
+ public:
+  rank_died(int rank, int round)
+      : std::runtime_error("rank " + std::to_string(rank) + " died in round " +
+                           std::to_string(round)),
+        rank_(rank),
+        round_(round) {}
+  [[nodiscard]] int rank() const noexcept { return rank_; }
+  [[nodiscard]] int round() const noexcept { return round_; }
+
+ private:
+  int rank_;
+  int round_;
+};
+
+/// One round in which every survivor depends on `victim` through `wait`.
+void rank_death_round(mpi::Comm& c, Wait wait, int victim, int round) {
+  const int tag = 40 + round;
+  const double mine = static_cast<double>(c.rank() + round);
+  const bool is_victim = c.rank() == victim;
+  double in = 0.0;
+  switch (wait) {
+    case Wait::Recv:
+      if (!is_victim) return c.recv(victim, tag, in);
+      for (int p = 0; p < c.size(); ++p)
+        if (p != victim) c.send(p, tag, mine);
+      return;
+    case Wait::SendRecv:
+      if (!is_victim)
+        return c.sendrecv(victim, tag, std::span<const double>(&mine, 1),
+                          std::span<double>(&in, 1));
+      for (int p = 0; p < c.size(); ++p) {
+        if (p == victim) continue;
+        c.recv(p, tag, in);
+        c.send(p, tag, mine);
+      }
+      return;
+    case Wait::IrecvWait:
+      if (!is_victim) {
+        auto req = c.irecv(victim, tag, std::span<double>(&in, 1));
+        return req.wait();
+      }
+      for (int p = 0; p < c.size(); ++p)
+        if (p != victim) c.send(p, tag, mine);
+      return;
+    case Wait::Barrier:
+      return c.barrier();
+    case Wait::Allreduce:
+      EXPECT_EQ(c.allreduce(mine, mpi::Op::Sum),
+                static_cast<double>(c.size() * (c.size() - 1) / 2 +
+                                    c.size() * round));
+      return;
+    case Wait::Allgather:
+      EXPECT_EQ(c.allgather(mine)[static_cast<std::size_t>(victim)],
+                static_cast<double>(victim + round));
+      return;
+  }
+}
+
+}  // namespace
+
+class RankDeath : public ::testing::TestWithParam<RankDeathCase> {};
+
+TEST_P(RankDeath, EndsRunWithTheVictimsErrorOnly) {
+  const RankDeathCase& k = GetParam();
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 4;
+  constexpr int kDeathRound = 2;
+  // Armed-but-inert plan: the transport runs its full seq/CRC path, and
+  // the long per-attempt timeout means only the failed-peer check can
+  // end the survivors' waits within the time bound below.
+  std::optional<ScopedPlan> plan;
+  if (k.armed)
+    plan.emplace("7:mem.alloc=@1000000");
+  else
+    fault::clear();
+  const ScopedEnv timeout("SYCLPORT_COMM_TIMEOUT_MS", "60000");
+
+  std::atomic<int> survivor_rounds{0};
+  std::atomic<int> peer_failed{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    mpi::run(kRanks, [&](mpi::Comm& c) {
+      try {
+        for (int round = 0; round < kRounds; ++round) {
+          if (c.rank() == k.victim && round == kDeathRound)
+            throw rank_died(c.rank(), round);
+          rank_death_round(c, k.wait, k.victim, round);
+          if (c.rank() != k.victim) survivor_rounds.fetch_add(1);
+        }
+      } catch (const mpi::comm_error& e) {
+        if (e.kind() == mpi::comm_error::Kind::PeerFailed)
+          peer_failed.fetch_add(1);
+        throw;
+      }
+    });
+    FAIL() << "expected the victim's death to end the run";
+  } catch (const rank_died& e) {
+    // The one primary, with its original type: no rank_errors aggregate
+    // and no PeerFailed cascade in its place.
+    EXPECT_EQ(e.rank(), k.victim);
+    EXPECT_EQ(e.round(), kDeathRound);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "run ended with a secondary error: " << e.what();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+
+  // Survivors finish every round before the death and none after it;
+  // each one's wait on the victim became a PeerFailed cascade.
+  EXPECT_EQ(survivor_rounds.load(), (kRanks - 1) * kDeathRound);
+  EXPECT_EQ(peer_failed.load(), kRanks - 1);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
+            10);
+}
+
+namespace {
+
+[[nodiscard]] std::vector<RankDeathCase> rank_death_cases() {
+  std::vector<RankDeathCase> cases;
+  for (const Wait wait : {Wait::Recv, Wait::SendRecv, Wait::IrecvWait,
+                          Wait::Barrier, Wait::Allreduce, Wait::Allgather})
+    for (const int victim : {0, 3})
+      for (const bool armed : {false, true})
+        cases.push_back({wait, victim, armed});
+  return cases;  // 6 waits x first/last victim x disarmed/armed = 24
+}
+
+}  // namespace
+
+INSTANTIATE_TEST_SUITE_P(Schedules, RankDeath,
+                         ::testing::ValuesIn(rank_death_cases()),
+                         [](const auto& ti) {
+                           return std::string(wait_name(ti.param.wait)) +
+                                  "_victim" +
+                                  std::to_string(ti.param.victim) +
+                                  (ti.param.armed ? "_armed" : "_disarmed");
+                         });
 
 // ---------------------------------------------------------------------------
 // Tuning cache: corrupted load falls back to retuning
