@@ -150,12 +150,14 @@ void Comm::recv_bytes(int src, int tag, std::span<std::byte> out) {
         box.erase(it);
         return;
       }
-      if (w.failed > 0)
+      if (w.failed > 0 || w.exited[static_cast<std::size_t>(src)])
         throw comm_error(comm_error::Kind::PeerFailed,
-                         "mini-MPI recv: a peer rank failed while rank " +
-                             std::to_string(rank_) + " awaited (src=" +
-                             std::to_string(src) + ", tag=" +
-                             std::to_string(tag) + ")");
+                         std::string("mini-MPI recv: ") +
+                             (w.failed > 0 ? "a peer rank failed"
+                                           : "the source rank returned") +
+                             " while rank " + std::to_string(rank_) +
+                             " awaited (src=" + std::to_string(src) +
+                             ", tag=" + std::to_string(tag) + ")");
       w.cv.wait(lock);
     }
   }
@@ -296,13 +298,15 @@ void Comm::barrier() {
     ++w.barrier_generation;
     w.cv.notify_all();
   } else {
+    // A rank that has exited never arrives: the barrier cannot complete.
     w.cv.wait(lock, [&] {
-      return w.barrier_generation != gen || w.failed > 0;
+      return w.barrier_generation != gen || w.failed > 0 || w.nexited > 0;
     });
     if (w.barrier_generation == gen)
       throw comm_error(comm_error::Kind::PeerFailed,
-                       "mini-MPI barrier: a peer rank failed before "
-                       "reaching the barrier (rank " +
+                       std::string("mini-MPI barrier: a peer rank ") +
+                           (w.failed > 0 ? "failed" : "returned") +
+                           " before reaching the barrier (rank " +
                            std::to_string(rank_) + " waiting)");
   }
 }
@@ -341,22 +345,24 @@ void run(int nranks, const std::function<void(Comm&)>& rank_fn) {
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
       Comm comm(world, r);
+      bool failed = false;
       try {
         rank_fn(comm);
       } catch (...) {
-        {
-          std::lock_guard lock(err_mu);
-          failures.push_back({r, std::current_exception()});
-        }
-        {
-          // Mark the rank dead so peers blocked on a message or barrier
-          // this rank will never complete raise comm_error(PeerFailed)
-          // instead of hanging.
-          std::lock_guard lock(world->mu);
-          ++world->failed;
-        }
-        world->cv.notify_all();
+        failed = true;
+        std::lock_guard lock(err_mu);
+        failures.push_back({r, std::current_exception()});
       }
+      {
+        // Mark the rank gone so peers blocked on a message or barrier
+        // this rank will never complete raise comm_error(PeerFailed)
+        // instead of hanging.
+        std::lock_guard lock(world->mu);
+        world->failed += failed ? 1 : 0;
+        world->exited[static_cast<std::size_t>(r)] = 1;
+        ++world->nexited;
+      }
+      world->cv.notify_all();
     });
   }
 

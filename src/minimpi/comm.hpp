@@ -95,7 +95,9 @@ struct DelayedMessage {
 /// Shared state of one communicator world.
 struct World {
   explicit World(int n)
-      : size(n), mailboxes(static_cast<std::size_t>(n)) {}
+      : size(n),
+        mailboxes(static_cast<std::size_t>(n)),
+        exited(static_cast<std::size_t>(n), 0) {}
 
   int size;
   std::mutex mu;
@@ -113,6 +115,12 @@ struct World {
   /// barriers check this and raise comm_error(PeerFailed) instead of
   /// waiting for progress a dead peer can never make.
   int failed = 0;
+  /// exited[r]: rank r has left its rank_fn, by return or exception, so
+  /// it sends nothing more and reaches no further barrier. A receive
+  /// from it with nothing queued, or any barrier once a rank exited,
+  /// raises comm_error(PeerFailed) too.
+  std::vector<char> exited;
+  int nexited = 0;
 
   // Armed-transport state, keyed by the packed (src,dst,tag) channel id
   // (see channel_key in comm.cpp). Guarded by mu; untouched while the

@@ -4,7 +4,7 @@
 ///  - arg_direct(dat, acc): the element's own values, as (const) T*;
 ///  - arg_indirect(dat, map, idx, acc): values of the idx-th mapped
 ///    element; INC access hands the kernel an Inc<T> proxy whose
-///    addition is atomic or plain depending on the active strategy;
+///    addition is atomic or plain depending on the active lowering;
 ///  - arg_gbl(target, op): global reduction, as Reducer<T>.
 
 #include <atomic>
@@ -56,7 +56,13 @@ template <typename T>
 }
 
 /// Kernel-side view of an INC argument: accumulates into the mapped
-/// element's components, atomically when the strategy requires it.
+/// element's components, or into a scratch slot the lowering replays
+/// later, atomically when the lowering requires it.
+///
+/// Contract: a kernel call adds to each component at most once, and
+/// when two INC arguments of one call reach the same target it adds to
+/// them in argument order. Loops that keep to it give the same bits on
+/// every executor, schedule and pool size (docs/unstructured.md).
 template <typename T>
 class Inc {
  public:

@@ -82,19 +82,21 @@ class Context {
   /// Plan for resolving conflicts through `map` under `strategy`
   /// (default: the context's); built once and cached. Staged shares the
   /// Atomics plan - both execute elements in identity order, staging
-  /// resolves the races in scratch rather than by colouring.
+  /// resolves the races in scratch rather than by colouring. `ranges`
+  /// > 0 asks for the Atomics ownership table of that many ranges.
   [[nodiscard]] const Plan& plan_for(const Map& map) {
     return plan_for(map, opt.strategy);
   }
-  [[nodiscard]] const Plan& plan_for(const Map& map, Strategy strategy) {
+  [[nodiscard]] const Plan& plan_for(const Map& map, Strategy strategy,
+                                     std::size_t ranges = 0) {
     if (strategy == Strategy::Staged) strategy = Strategy::Atomics;
     const auto key = std::make_tuple(static_cast<const void*>(&map),
-                                     strategy, opt.block_size);
+                                     strategy, opt.block_size, ranges);
     auto it = plans_.find(key);
     if (it == plans_.end())
       it = plans_
                .emplace(key, std::make_unique<Plan>(build_plan(
-                                 map, strategy, opt.block_size)))
+                                 map, strategy, opt.block_size, ranges)))
                .first;
     return *it->second;
   }
@@ -126,7 +128,7 @@ class Context {
   }
 
  private:
-  std::map<std::tuple<const void*, Strategy, std::size_t>,
+  std::map<std::tuple<const void*, Strategy, std::size_t, std::size_t>,
            std::unique_ptr<Plan>>
       plans_;
   std::map<std::tuple<const void*, Strategy, std::size_t, int, std::size_t,

@@ -4,7 +4,11 @@
 /// names a kernel over a set with direct, indirect, increment and
 /// global arguments. Indirect increments race between elements sharing
 /// a mapped target; the context's Strategy resolves them (paper §3):
-///   - Atomics: one sweep, atomic adds;
+///   - Atomics: one ascending sweep. Serial adds in place; Threads runs
+///     the owner-ordered sweep (one element range per worker, each
+///     adding in place to the targets it owns and deferring the rest to
+///     scratch replayed in element order), bit-identical to Serial;
+///     Sycl, the modelled GPU lowering, adds atomically;
 ///   - GlobalColor: one sweep per colour, plain adds;
 ///   - Hierarchical: one sweep per block colour; within a block,
 ///     intra-colour phases (separated by work-group barriers when
@@ -141,6 +145,149 @@ struct IncArg {
 template <typename T>
 IncBinder<T> make_binder(const IncArg<T>& a, bool executing) {
   return {executing ? a.dat->elem(0) : nullptr, a.dat->dim(), a.map, a.idx};
+}
+
+// --- owner-ordered sweep (Strategy::Atomics on Exec::Threads) ---------------
+
+/// Scratch of one INC argument on the owner-ordered sweep: one slot of
+/// dim components per increment whose target another range owns,
+/// grouped by range. Slots start at -0.0, so the single add a slot
+/// receives stores the increment's own bits (-0.0 + v == v).
+template <typename T>
+struct OwnerSlots {
+  std::vector<T> buf;
+  std::vector<T*> next;  ///< per range: the range's first slot
+  const T* replayed;     ///< next slot to replay
+};
+struct NoSlots {};
+
+template <typename B>
+NoSlots owner_slots(const B&, const Plan&) {
+  return {};
+}
+template <typename T>
+OwnerSlots<T> owner_slots(const IncBinder<T>& b, const Plan& plan) {
+  const auto dim = static_cast<std::size_t>(b.dim);
+  const auto arity = static_cast<std::size_t>(b.map->arity());
+  const auto col = static_cast<std::size_t>(b.idx);
+  std::size_t total = 0;
+  for (std::size_t r = 0; r < plan.ranges(); ++r)
+    total += plan.deferred_slots[r * arity + col];
+  OwnerSlots<T> s;
+  s.buf.assign(total * dim, -T{});
+  std::size_t at = 0;
+  for (std::size_t r = 0; r < plan.ranges(); ++r) {
+    s.next.push_back(s.buf.data() + at * dim);
+    at += plan.deferred_slots[r * arity + col];
+  }
+  s.replayed = s.buf.data();
+  return s;
+}
+
+/// Range r's view of an INC argument: targets r owns are added in
+/// place, every other increment takes the range's next scratch slot.
+template <typename T>
+struct OwnedIncView {
+  T* base;
+  int dim;
+  const Map* map;
+  int idx;
+  const int* owner;
+  int range;
+  T* next;
+
+  [[nodiscard]] Inc<T> make(std::size_t e, bool /*atomic*/) {
+    const auto t = static_cast<std::size_t>(map->at(e, idx));
+    if (owner[t] == range)
+      return Inc<T>(base + t * static_cast<std::size_t>(dim), false);
+    T* slot = next;
+    next += dim;
+    return Inc<T>(slot, false);
+  }
+};
+
+template <typename B>
+[[nodiscard]] B& range_view(B& b, NoSlots&, const Plan&, std::size_t) {
+  return b;
+}
+template <typename T>
+[[nodiscard]] OwnedIncView<T> range_view(IncBinder<T>& b, OwnerSlots<T>& s,
+                                         const Plan& plan, std::size_t r) {
+  return {b.base, b.dim, b.map, b.idx, plan.owner.data(),
+          static_cast<int>(r), s.next[r]};
+}
+
+/// Add element e's deferred increments of one INC argument (range r).
+template <typename B>
+void replay(const B&, NoSlots&, const Plan&, std::size_t, std::size_t) {}
+template <typename T>
+void replay(const IncBinder<T>& b, OwnerSlots<T>& s, const Plan& plan,
+            std::size_t r, std::size_t e) {
+  const auto t = static_cast<std::size_t>(b.map->at(e, b.idx));
+  if (plan.owner[t] == static_cast<int>(r)) return;
+  const auto dim = static_cast<std::size_t>(b.dim);
+  T* dst = b.base + t * dim;
+  for (std::size_t c = 0; c < dim; ++c) dst[c] += s.replayed[c];
+  s.replayed += dim;
+}
+
+/// Pool ranges of an owner-ordered sweep: one per worker, or one when
+/// this thread's launches run serially anyway.
+[[nodiscard]] inline std::size_t owner_ranges() {
+  return rt::serial_execution_forced() ? 1 : rt::ThreadPool::global().size();
+}
+
+/// The thread-pool lowering of Strategy::Atomics, bit-identical to the
+/// Serial sweep. Each of the plan's ranges runs its elements in
+/// ascending order on one task: increments of targets the range owns
+/// are plain in-place adds (no other range adds to them), the rest land
+/// in per-range scratch slots. The slots are then replayed in (range,
+/// element, argument) order, so every target sees the Serial sequence
+/// of adds - given the Inc contract (op2/arg.hpp). Ranges hold whole
+/// reduction blocks, which global reductions run as on an ascending
+/// blocked sweep.
+template <typename K, typename... B>
+void owner_sweep(const Plan& plan, std::tuple<B...>& binders, std::size_t n,
+                 K& kernel) {
+  auto slots = std::apply(
+      [&](const auto&... b) { return std::make_tuple(owner_slots(b, plan)...); },
+      binders);
+  const ReduceBlocks blocks(1, n);
+  std::apply([&](auto&... b) { (start_slots(b, blocks.count()), ...); },
+             binders);
+
+  auto run_range = [&]<std::size_t... I>(std::index_sequence<I...>,
+                                         std::size_t r) {
+    auto views = std::tuple<decltype(range_view(
+        std::get<I>(binders), std::get<I>(slots), plan, r))...>(
+        range_view(std::get<I>(binders), std::get<I>(slots), plan, r)...);
+    const std::size_t e_end = plan.range_begin[r + 1];
+    for (std::size_t k = plan.range_begin[r] / kReduceBlock;
+         blocks.begin(k) < e_end; ++k) {
+      auto bv = std::tuple<decltype(block_view(std::get<I>(views), k))...>(
+          block_view(std::get<I>(views), k)...);
+      for (std::size_t e = blocks.begin(k); e < blocks.end(k); ++e)
+        kernel(std::get<I>(bv).make(e, false)...);
+      (close_block(std::get<I>(bv)), ...);
+    }
+  };
+  constexpr auto idx = std::index_sequence_for<B...>{};
+  const std::size_t ranges = plan.ranges();
+  rt::ScopedGrainScale per_range(n / ranges);
+  rt::ThreadPool::global().parallel_for(
+      ranges, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) run_range(idx, r);
+      });
+  std::apply([](const auto&... b) { (fold_blocks(b), ...); }, binders);
+
+  auto replay_elem = [&]<std::size_t... I>(std::index_sequence<I...>,
+                                           std::size_t r, std::size_t e) {
+    (replay(std::get<I>(binders), std::get<I>(slots), plan, r, e), ...);
+  };
+  for (std::size_t r = 0; r < ranges; ++r)
+    for (std::size_t i = plan.deferred_begin[r];
+         i < plan.deferred_begin[r + 1]; ++i)
+      replay_elem(idx, r, static_cast<std::size_t>(plan.deferred_elems[i]));
 }
 
 // --- profile accumulation -----------------------------------------------------
@@ -428,7 +575,17 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   log_decision();
 
   auto binders = std::make_tuple(detail::make_binder(args, true)...);
-  const bool atomic = conflict != nullptr && strat == Strategy::Atomics;
+  if (conflict != nullptr && strat == Strategy::Atomics &&
+      ctx.opt.exec == Exec::Threads) {
+    detail::owner_sweep(ctx.plan_for(*conflict->map, Strategy::Atomics,
+                                     detail::owner_ranges()),
+                        binders, n, kernel);
+    return;
+  }
+  // Serial sweeps add in element order already; only the modelled SYCL
+  // lowering keeps atomic increments.
+  const bool atomic = conflict != nullptr && strat == Strategy::Atomics &&
+                      ctx.opt.exec == Exec::Sycl;
   auto invoke = [&](std::size_t e) {
     std::apply([&](auto&... b) { kernel(b.make(e, atomic)...); }, binders);
   };
@@ -572,7 +729,7 @@ void par_loop_subset(Context& ctx, Meta meta, Set& set,
   if constexpr ((detail::is_gbl_arg<Args>::value || ...)) {
     // Reduction blocks are 1024-runs of subset positions.
     detail::blocked_sweep(
-        ctx, meta.name, binders, elems.size(), {},
+        ctx, meta.name, binders, elems.size(),
         [&](auto& views, std::size_t i) {
           const auto e = static_cast<std::size_t>(elems[i]);
           std::apply([&](auto&... b) { kernel(b.make(e, atomic)...); },

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/reducer.hpp"
+
 namespace syclport::op2 {
 
 namespace {
@@ -39,9 +41,44 @@ int greedy_colour(std::size_t n, std::size_t ntargets, TargetsOf&& targets_of,
   return c;
 }
 
+/// Ownership table of `ranges` contiguous element ranges cut at
+/// reduction-block bounds (see Plan).
+void build_ownership(const Map& map, std::size_t ranges, Plan& p) {
+  const std::size_t n = p.nelems;
+  const int arity = map.arity();
+  const std::size_t nblocks = (n + kReduceBlock - 1) / kReduceBlock;
+  p.range_begin.resize(ranges + 1);
+  for (std::size_t r = 0; r <= ranges; ++r)
+    p.range_begin[r] = std::min(n, nblocks * r / ranges * kReduceBlock);
+
+  // Ranges are visited in ascending order, so the first to reach a
+  // target is the lowest, and its owner is final once the visit sets it.
+  p.owner.assign(map.to().size(), -1);
+  p.deferred_slots.assign(ranges * static_cast<std::size_t>(arity), 0);
+  p.deferred_begin.assign(ranges + 1, 0);
+  for (std::size_t r = 0; r < ranges; ++r) {
+    p.deferred_begin[r] = p.deferred_elems.size();
+    for (std::size_t e = p.range_begin[r]; e < p.range_begin[r + 1]; ++e) {
+      bool deferred = false;
+      for (int i = 0; i < arity; ++i) {
+        int& owner = p.owner[static_cast<std::size_t>(map.at(e, i))];
+        if (owner < 0) owner = static_cast<int>(r);
+        if (owner != static_cast<int>(r)) {
+          ++p.deferred_slots[r * static_cast<std::size_t>(arity) +
+                             static_cast<std::size_t>(i)];
+          deferred = true;
+        }
+      }
+      if (deferred) p.deferred_elems.push_back(static_cast<int>(e));
+    }
+  }
+  p.deferred_begin[ranges] = p.deferred_elems.size();
+}
+
 }  // namespace
 
-Plan build_plan(const Map& map, Strategy strategy, std::size_t block_size) {
+Plan build_plan(const Map& map, Strategy strategy, std::size_t block_size,
+                std::size_t ranges) {
   Plan p;
   p.strategy = strategy;
   p.nelems = map.from().size();
@@ -55,6 +92,8 @@ Plan build_plan(const Map& map, Strategy strategy, std::size_t block_size) {
 
   switch (strategy) {
     case Strategy::Atomics:
+      if (ranges > 0) build_ownership(map, ranges, p);
+      break;
     case Strategy::None:
     case Strategy::Staged:  // identity order; races resolved by staging
       break;

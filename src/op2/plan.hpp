@@ -8,7 +8,13 @@
 ///    consecutive ids; blocks coloured against shared targets; within
 ///    each block elements get intra-block colours. On GPUs a block is a
 ///    work-group (with barriers between intra-colours).
-/// Plans are computed once per (map, strategy, block size) and cached.
+///  - atomics on the thread pool: an ownership table. Elements are cut
+///    into contiguous ranges, one per worker; each target belongs to
+///    the lowest range that reaches it, and every other range defers
+///    its increments of that target to scratch slots replayed in order
+///    after the sweep (docs/unstructured.md).
+/// Plans are computed once per (map, strategy, block size, ranges) and
+/// cached.
 
 #include <cstddef>
 #include <vector>
@@ -37,6 +43,26 @@ struct Plan {
   std::vector<int> intra_colour;       ///< colour of element within its block
   int max_intra_colours = 0;
 
+  // --- atomics: owner-ordered ranges ---------------------------------------
+  /// Range r covers elements [range_begin[r], range_begin[r + 1]); every
+  /// bound is a multiple of kReduceBlock (or nelems), so a range holds
+  /// whole reduction blocks. Empty when built without ranges.
+  std::vector<std::size_t> range_begin;
+  /// owner[t]: the lowest range reaching target t through any map column.
+  std::vector<int> owner;
+  /// deferred_slots[r * arity + i]: elements of range r whose column-i
+  /// target another range owns, i.e. range r's scratch slots per INC
+  /// argument on column i.
+  std::vector<std::size_t> deferred_slots;
+  /// Elements with at least one deferred column, ascending; range r's
+  /// are deferred_elems[deferred_begin[r] .. deferred_begin[r + 1]).
+  std::vector<int> deferred_elems;
+  std::vector<std::size_t> deferred_begin;
+
+  [[nodiscard]] std::size_t ranges() const {
+    return range_begin.empty() ? 0 : range_begin.size() - 1;
+  }
+
   /// Parallel sweeps this plan splits a loop into (kernel launches).
   [[nodiscard]] std::size_t launches() const {
     switch (strategy) {
@@ -50,9 +76,11 @@ struct Plan {
 
 /// Build a plan resolving conflicts through `map` (two elements conflict
 /// when they share any mapped target). `block_size` is used by the
-/// hierarchical strategy only.
+/// hierarchical strategy only; `ranges` > 0 gives an Atomics plan the
+/// ownership table of that many ranges.
 [[nodiscard]] Plan build_plan(const Map& map, Strategy strategy,
-                              std::size_t block_size = 256);
+                              std::size_t block_size = 256,
+                              std::size_t ranges = 0);
 
 /// Verify plan invariants (used by property tests): no two same-colour
 /// elements (global) or same-colour blocks (hierarchical) share a

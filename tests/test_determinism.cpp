@@ -1,8 +1,8 @@
-// Determinism matrix: every executed reduction - and so every app
-// checksum - is bit-identical to the Serial backend's, on every
-// parallel backend, schedule and grain. CMake registers this binary
-// once per SYCLPORT_THREADS value in {1, 2, 4, 8}, so the pool size
-// varies too.
+// Determinism matrix: every executed reduction and indirect increment
+// - and so every app checksum - is bit-identical to the Serial
+// backend's, on every parallel backend, schedule and grain. CMake
+// registers this binary once per SYCLPORT_THREADS value in
+// {1, 2, 4, 8}, so the pool size varies too.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,9 @@ using namespace syclport;
 
 namespace {
 
-enum class Par { Threads, SyclFlat, SyclNd };
+/// ThreadsAtomics is OP2 only: the Threads backend with MG-CFD's
+/// default Strategy::Atomics over AoS dats.
+enum class Par { Threads, SyclFlat, SyclNd, ThreadsAtomics };
 
 // "NdRange" in a test name keeps it out of the TSan preset, which
 // cannot follow the work-group fibers (docs/executor.md).
@@ -30,6 +32,7 @@ const char* to_string(Par p) {
   switch (p) {
     case Par::Threads: return "Threads";
     case Par::SyclFlat: return "SyclFlat";
+    case Par::ThreadsAtomics: return "ThreadsAtomics";
     default: return "SyclNdRange";
   }
 }
@@ -40,12 +43,15 @@ struct Sched {
 };
 
 /// One workload: runs on `par` under `sched`, or - when `sched` is
-/// nullopt - the Serial reference for that backend's lowering.
-using Runner = std::function<double(Par par, const std::optional<Sched>&)>;
+/// nullopt - the Serial reference for that backend's lowering. Returns
+/// the values whose bits must match.
+using Runner =
+    std::function<std::vector<double>(Par par, const std::optional<Sched>&)>;
 
 struct Workload {
   const char* name;
   Runner run;
+  bool op2 = false;  ///< also runs the ThreadsAtomics lowering
 };
 
 /// OPS apps: the Serial backend is the reference for every backend.
@@ -63,42 +69,48 @@ Runner ops_app(std::function<double(const ops::Options&)> app) {
       opt.schedule = s->schedule;
       opt.grain = s->grain;
     }
-    return app(opt);
+    return std::vector<double>{app(opt)};
   };
 }
 
 /// OP2 lowerings: Threads takes the staged strategy over SoA dats
 /// (element-slot reductions), SyclFlat the global colouring, SyclNd the
-/// hierarchical nd_range sweep. Each is compared with the Serial
-/// execution of the same strategy, the order its increments define.
+/// hierarchical nd_range sweep, ThreadsAtomics the owner-ordered
+/// sweep. Each is compared with the Serial execution of the same
+/// strategy, the order its increments define.
 op2::Options op2_options(Par par, const std::optional<Sched>& s) {
   op2::Options opt;
   opt.record = false;
-  opt.exec = !s                  ? op2::Exec::Serial
-             : par == Par::Threads ? op2::Exec::Threads
-                                   : op2::Exec::Sycl;
-  opt.strategy = par == Par::Threads    ? Strategy::Staged
-                 : par == Par::SyclFlat ? Strategy::GlobalColor
-                                        : Strategy::Hierarchical;
+  opt.exec = !s ? op2::Exec::Serial
+             : par == Par::Threads || par == Par::ThreadsAtomics
+                 ? op2::Exec::Threads
+                 : op2::Exec::Sycl;
+  opt.strategy = par == Par::Threads        ? Strategy::Staged
+                 : par == Par::SyclFlat     ? Strategy::GlobalColor
+                 : par == Par::SyclNd       ? Strategy::Hierarchical
+                                            : Strategy::Atomics;
   if (par == Par::Threads) opt.layout = op2::Layout::SoA;
   return opt;
 }
 
-double run_mgcfd(Par par, const std::optional<Sched>& s) {
+std::vector<double> run_mgcfd(Par par, const std::optional<Sched>& s) {
   std::optional<rt::ScopedLaunchParams> scope;
   if (s) scope.emplace(s->schedule, s->grain);
-  return apps::run_mgcfd(op2_options(par, s), apps::mgcfd_small()).checksum;
+  return {apps::run_mgcfd(op2_options(par, s), apps::mgcfd_small()).checksum};
 }
 
-/// An OP2 edge loop with both an indirect increment and global
-/// reductions over non-uniform data, spanning several reduction blocks
-/// (MG-CFD's checksum does not read its residual reduction).
-double run_op2_reductions(Par par, const std::optional<Sched>& s) {
+/// An OP2 edge loop scattering `nedges` non-uniform increments into
+/// 1500 nodes, with or without global reductions over the same values
+/// (MG-CFD's checksum does not read its residual reduction). At 60000
+/// edges every node takes 40 increments from all over the edge range:
+/// a high-conflict loop. Returns the reductions and every node's sum.
+std::vector<double> run_op2_edges(Par par, const std::optional<Sched>& s,
+                                  std::size_t nedges, bool with_gbl) {
   std::optional<rt::ScopedLaunchParams> scope;
   if (s) scope.emplace(s->schedule, s->grain);
   op2::Context ctx(op2_options(par, s));
   const std::size_t nn = 1500;
-  op2::Set nodes("nodes", nn), edges("edges", nn * 2);
+  op2::Set nodes("nodes", nn), edges("edges", nedges);
   op2::Map e2n(edges, nodes, 1, "e2n");
   for (std::size_t e = 0; e < edges.size(); ++e)
     e2n.at(e, 0) = static_cast<int>((e * 7 + 3) % nn);
@@ -110,17 +122,27 @@ double run_op2_reductions(Par par, const std::optional<Sched>& s) {
     acc.set_layout(op2::Layout::SoA);
   }
   double sum = 0.0, mx = -1e300;
-  op2::par_loop(
-      ctx, {"edge_gbl", 2.0}, edges,
-      [](const double* x, op2::Inc<double> a, op2::Reducer<double> r,
-         op2::Reducer<double> m) {
-        a.add(0, x[0]);
-        r += x[0] * 1.0000001;
-        m.combine(x[0]);
-      },
-      op2::arg_direct(w, op2::Acc::R), op2::arg_inc(acc, e2n, 0),
-      op2::arg_gbl(sum, op2::RedOp::Sum), op2::arg_gbl(mx, op2::RedOp::Max));
-  return sum + mx;
+  if (with_gbl) {
+    op2::par_loop(
+        ctx, {"edge_gbl", 2.0}, edges,
+        [](const double* x, op2::Inc<double> a, op2::Reducer<double> r,
+           op2::Reducer<double> m) {
+          a.add(0, x[0]);
+          r += x[0] * 1.0000001;
+          m.combine(x[0]);
+        },
+        op2::arg_direct(w, op2::Acc::R), op2::arg_inc(acc, e2n, 0),
+        op2::arg_gbl(sum, op2::RedOp::Sum),
+        op2::arg_gbl(mx, op2::RedOp::Max));
+  } else {
+    op2::par_loop(
+        ctx, {"edge_inc", 1.0}, edges,
+        [](const double* x, op2::Inc<double> a) { a.add(0, x[0]); },
+        op2::arg_direct(w, op2::Acc::R), op2::arg_inc(acc, e2n, 0));
+  }
+  std::vector<double> out{sum, mx};
+  for (std::size_t i = 0; i < nn; ++i) out.push_back(acc.at(i, 0));
+  return out;
 }
 
 std::vector<Workload> workloads() {
@@ -146,13 +168,38 @@ std::vector<Workload> workloads() {
       {"babelstream_dot", ops_app([](const ops::Options& o) {
          return stream::run(o, 5 * 1024 + 123, 2).checksum;
        })},
-      {"mgcfd", run_mgcfd},
-      {"op2_reductions", run_op2_reductions},
+      {"mgcfd", run_mgcfd, true},
+      {"op2_reductions",
+       [](Par par, const std::optional<Sched>& s) {
+         return run_op2_edges(par, s, 3000, true);
+       },
+       true},
+      {"op2_conflict",
+       [](Par par, const std::optional<Sched>& s) {
+         return run_op2_edges(par, s, 60000, false);
+       },
+       true},
+      {"op2_conflict_gbl",
+       [](Par par, const std::optional<Sched>& s) {
+         return run_op2_edges(par, s, 60000, true);
+       },
+       true},
   };
 }
 
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Index of the first value whose bits differ (a.size() if none).
+std::size_t first_difference(const std::vector<double>& a,
+                             const std::vector<double>& b) {
+  std::size_t i = 0;
+  while (i < a.size() && i < b.size() &&
+         std::memcmp(&a[i], &b[i], sizeof(double)) == 0)
+    ++i;
+  return i;
 }
 
 struct Case {
@@ -167,9 +214,11 @@ void PrintTo(const Case& c, std::ostream* os) {
 
 std::vector<Case> cases() {
   std::vector<Case> out;
-  for (const Workload& w : workloads())
+  for (const Workload& w : workloads()) {
     for (Par par : {Par::Threads, Par::SyclFlat, Par::SyclNd})
       out.push_back({w, par});
+    if (w.op2) out.push_back({w, Par::ThreadsAtomics});
+  }
   return out;
 }
 
@@ -179,20 +228,24 @@ class Determinism : public ::testing::TestWithParam<Case> {};
 
 TEST_P(Determinism, BitIdenticalToSerial) {
   const auto& [w, par] = GetParam();
-  const double ref = w.run(par, std::nullopt);
-  ASSERT_TRUE(std::isfinite(ref)) << w.name;
+  const std::vector<double> ref = w.run(par, std::nullopt);
+  ASSERT_FALSE(ref.empty()) << w.name;
+  for (double v : ref) ASSERT_TRUE(std::isfinite(v)) << w.name;
   for (rt::Schedule sched :
        {rt::Schedule::Static, rt::Schedule::Dynamic, rt::Schedule::Steal})
     for (std::optional<std::size_t> grain :
          {std::optional<std::size_t>{}, std::optional<std::size_t>{1},
           std::optional<std::size_t>{7}}) {
-      const double got = w.run(par, Sched{sched, grain});
+      const std::vector<double> got = w.run(par, Sched{sched, grain});
+      const std::size_t at = first_difference(got, ref);
       EXPECT_TRUE(same_bits(got, ref))
           << w.name << " on " << to_string(par) << ", schedule "
           << rt::to_string(sched) << ", grain "
           << (grain ? std::to_string(*grain) : "default") << ", "
-          << rt::ThreadPool::global().size() << " workers: " << std::hexfloat
-          << got << " vs Serial " << ref;
+          << rt::ThreadPool::global().size() << " workers: value " << at
+          << " is " << std::hexfloat
+          << (at < got.size() ? got[at] : 0.0) << " vs Serial "
+          << (at < ref.size() ? ref[at] : 0.0);
     }
 }
 

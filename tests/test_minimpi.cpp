@@ -416,3 +416,38 @@ TEST(Comm, SingleRankFailureKeepsItsOriginalType) {
                         }),
                std::out_of_range);
 }
+
+// A peer that *returns* without sending or reaching the barrier can no
+// longer act, just like one that threw: the blocked rank raises
+// comm_error(PeerFailed) instead of waiting forever. ctest's TIMEOUT on
+// this binary turns a regression into a failure, not a hung job.
+TEST(Comm, RecvFromARankThatReturnedRaisesPeerFailed) {
+  double first = 0.0;
+  try {
+    mpi::run(2, [&first](mpi::Comm& c) {
+      if (c.rank() == 1) {
+        c.send(0, 7, 1.5);  // queued before the return: still delivered
+        return;
+      }
+      c.recv(1, 7, first);
+      double never = 0.0;
+      c.recv(1, 7, never);
+    });
+    FAIL() << "expected comm_error";
+  } catch (const mpi::comm_error& e) {
+    EXPECT_EQ(e.kind(), mpi::comm_error::Kind::PeerFailed) << e.what();
+    EXPECT_NE(std::string(e.what()).find("returned"), std::string::npos);
+  }
+  EXPECT_EQ(first, 1.5);
+}
+
+TEST(Comm, BarrierAfterARankReturnedRaisesPeerFailed) {
+  try {
+    mpi::run(2, [](mpi::Comm& c) {
+      if (c.rank() == 0) c.barrier();
+    });
+    FAIL() << "expected comm_error";
+  } catch (const mpi::comm_error& e) {
+    EXPECT_EQ(e.kind(), mpi::comm_error::Kind::PeerFailed) << e.what();
+  }
+}

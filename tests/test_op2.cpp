@@ -1,16 +1,21 @@
 // Unit and property tests for the OP2 unstructured-mesh DSL: maps,
-// plans (global/hierarchical colouring validity), all race-resolution
-// strategies against a serial reference, gather-locality measurement,
-// renumbering, and LoopProfile recording.
+// plans (global/hierarchical colouring validity, atomics ownership),
+// all race-resolution strategies against a serial reference, the
+// owner-ordered Threads sweep against Serial's bits, gather-locality
+// measurement, renumbering, and LoopProfile recording.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <functional>
 #include <optional>
 #include <random>
 #include <stdexcept>
 #include <tuple>
 
 #include "op2/op2.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace op2 = syclport::op2;
 namespace hw = syclport::hw;
@@ -190,6 +195,229 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// --- Ownership: the owner-ordered Threads lowering of Strategy::Atomics ------
+
+namespace {
+
+/// A set of `n` elements mapped to `ntargets` targets with arity
+/// `arity`: element e, column i reaches target_of(e, i).
+struct MappedSet {
+  op2::Set from, to;
+  op2::Map map;
+
+  MappedSet(std::size_t n, std::size_t ntargets, int arity,
+            const std::function<std::size_t(std::size_t, int)>& target_of)
+      : from("from", n), to("to", ntargets), map(from, to, arity, "map") {
+    for (std::size_t e = 0; e < n; ++e)
+      for (int i = 0; i < arity; ++i)
+        map.at(e, i) = static_cast<int>(target_of(e, i) % ntargets);
+    map.check();
+  }
+};
+
+/// Non-uniform per-element values, so the order of the adds shows.
+void fill_values(op2::Dat<double>& d) {
+  for (std::size_t e = 0; e < d.set().size(); ++e)
+    for (int c = 0; c < d.dim(); ++c)
+      d.at(e, c) = std::sin(0.37 * static_cast<double>(e) + c) * 1e3;
+}
+
+std::vector<double> values(const op2::Dat<double>& d) {
+  std::vector<double> out;
+  for (std::size_t e = 0; e < d.set().size(); ++e)
+    for (int c = 0; c < d.dim(); ++c) out.push_back(d.at(e, c));
+  return out;
+}
+
+/// Runs `loop` (which sets up its dats and returns their values) on
+/// Serial and on Threads, both with Strategy::Atomics, under every
+/// schedule, and expects the Threads bits to equal Serial's.
+void expect_owner_sweep_matches_serial(
+    const std::function<std::vector<double>(op2::Context&)>& loop) {
+  op2::Context serial(opts(Strategy::Atomics, op2::Exec::Serial));
+  const std::vector<double> ref = loop(serial);
+  ASSERT_FALSE(ref.empty());
+  for (auto sched : {syclport::rt::Schedule::Static,
+                     syclport::rt::Schedule::Dynamic,
+                     syclport::rt::Schedule::Steal}) {
+    syclport::rt::ScopedLaunchParams scope(sched, std::size_t{1});
+    op2::Context threads(opts(Strategy::Atomics, op2::Exec::Threads));
+    const std::vector<double> got = loop(threads);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      ASSERT_EQ(std::memcmp(&got[i], &ref[i], sizeof(double)), 0)
+          << "value " << i << " under schedule "
+          << syclport::rt::to_string(sched) << ": " << got[i] << " vs "
+          << ref[i];
+  }
+}
+
+/// An edge-style loop over `m`: one INC argument per map column, each
+/// adding a column-scaled copy of the element's dim-`dim` value.
+std::vector<double> scatter_columns(op2::Context& ctx, MappedSet& m,
+                                    int dim) {
+  op2::Dat<double> w(m.from, dim, "w"), acc(m.to, dim, "acc");
+  fill_values(w);
+  const auto add_scaled = [dim](const op2::Inc<double>& a, const double* x,
+                                double s) {
+    for (int c = 0; c < dim; ++c) a.add(c, s * x[c]);
+  };
+  if (m.map.arity() == 1) {
+    op2::par_loop(ctx, {"scatter1"}, m.from,
+                  [&](const double* x, op2::Inc<double> a) {
+                    add_scaled(a, x, 1.0);
+                  },
+                  op2::arg_direct(w, op2::Acc::R), op2::arg_inc(acc, m.map, 0));
+  } else if (m.map.arity() == 2) {
+    op2::par_loop(ctx, {"scatter2"}, m.from,
+                  [&](const double* x, op2::Inc<double> a,
+                      op2::Inc<double> b) {
+                    add_scaled(a, x, 1.0);
+                    add_scaled(b, x, -0.75);
+                  },
+                  op2::arg_direct(w, op2::Acc::R), op2::arg_inc(acc, m.map, 0),
+                  op2::arg_inc(acc, m.map, 1));
+  } else {
+    op2::par_loop(ctx, {"scatter3"}, m.from,
+                  [&](const double* x, op2::Inc<double> a, op2::Inc<double> b,
+                      op2::Inc<double> c) {
+                    add_scaled(a, x, 1.0);
+                    add_scaled(b, x, -0.75);
+                    add_scaled(c, x, 0.3);
+                  },
+                  op2::arg_direct(w, op2::Acc::R), op2::arg_inc(acc, m.map, 0),
+                  op2::arg_inc(acc, m.map, 1), op2::arg_inc(acc, m.map, 2));
+  }
+  return values(acc);
+}
+
+/// Every element reaches targets spread over the whole target set, so
+/// every range but the first defers most of its increments.
+std::size_t high_conflict(std::size_t e, int i) {
+  return e * 7 + 3 + static_cast<std::size_t>(i) * 389;
+}
+
+}  // namespace
+
+TEST(Ownership, TableNamesTheLowestRangeAndCountsTheRest) {
+  MappedSet m(5000, 700, 2, high_conflict);
+  for (std::size_t ranges : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    const auto plan = op2::build_plan(m.map, Strategy::Atomics, 256, ranges);
+    ASSERT_EQ(plan.ranges(), ranges);
+    EXPECT_EQ(plan.range_begin.front(), 0u);
+    EXPECT_EQ(plan.range_begin.back(), m.from.size());
+    std::vector<int> lowest(m.to.size(), -1);
+    std::vector<std::size_t> slots(ranges * 2, 0);
+    std::vector<int> elems;
+    for (std::size_t r = 0; r < ranges; ++r) {
+      EXPECT_TRUE(plan.range_begin[r] % syclport::kReduceBlock == 0);
+      for (std::size_t e = plan.range_begin[r]; e < plan.range_begin[r + 1];
+           ++e)
+        for (int i = 0; i < 2; ++i) {
+          auto& l = lowest[static_cast<std::size_t>(m.map.at(e, i))];
+          if (l < 0) l = static_cast<int>(r);
+        }
+    }
+    EXPECT_EQ(plan.owner, lowest) << ranges << " ranges";
+    std::size_t deferred = 0;
+    for (std::size_t s : plan.deferred_slots) deferred += s;
+    if (ranges == 1) EXPECT_EQ(deferred, 0u);
+    else EXPECT_GT(deferred, 0u);
+  }
+}
+
+TEST(Ownership, FewerElementsThanRangesLeavesRangesEmpty) {
+  MappedSet m(3, 4, 2, [](std::size_t e, int i) {
+    return e + static_cast<std::size_t>(i);
+  });
+  const auto plan = op2::build_plan(m.map, Strategy::Atomics, 256, 8);
+  std::size_t empty = 0;
+  for (std::size_t r = 0; r < plan.ranges(); ++r)
+    empty += plan.range_begin[r] == plan.range_begin[r + 1] ? 1 : 0;
+  EXPECT_EQ(empty, 7u);
+  expect_owner_sweep_matches_serial(
+      [&](op2::Context& ctx) { return scatter_columns(ctx, m, 1); });
+}
+
+TEST(Ownership, RestrictShapedArityOneMap) {
+  // Fine nodes (i, j, k) of a 12 x 10 x 40 box onto the coarse node
+  // (i/2, j/2, k/2), as mg_restrict does between multigrid levels.
+  const std::size_t ni = 12, nj = 10, nk = 40;
+  MappedSet m(ni * nj * nk, (ni / 2) * (nj / 2) * (nk / 2), 1,
+              [=](std::size_t n, int) {
+                const std::size_t i = n / (nj * nk), j = n / nk % nj,
+                                  k = n % nk;
+                return ((i / 2) * (nj / 2) + j / 2) * (nk / 2) + k / 2;
+              });
+  expect_owner_sweep_matches_serial(
+      [&](op2::Context& ctx) { return scatter_columns(ctx, m, 5); });
+}
+
+TEST(Ownership, ArityThreeMap) {
+  MappedSet m(6000, 997, 3, high_conflict);
+  expect_owner_sweep_matches_serial(
+      [&](op2::Context& ctx) { return scatter_columns(ctx, m, 1); });
+}
+
+TEST(Ownership, SelfLoopEdges) {
+  // Every fifth edge has both ends on one node.
+  MappedSet m(6000, 1500, 2, [](std::size_t e, int i) {
+    return e % 5 == 0 ? e * 7 + 3 : high_conflict(e, i);
+  });
+  expect_owner_sweep_matches_serial(
+      [&](op2::Context& ctx) { return scatter_columns(ctx, m, 1); });
+}
+
+TEST(Ownership, TwoIncArgsOnOneMapColumn) {
+  MappedSet m(6000, 1500, 2, high_conflict);
+  expect_owner_sweep_matches_serial([&](op2::Context& ctx) {
+    op2::Dat<double> w(m.from, 1, "w"), acc(m.to, 1, "acc");
+    fill_values(w);
+    op2::par_loop(ctx, {"same_column"}, m.from,
+                  [](const double* x, op2::Inc<double> a, op2::Inc<double> b) {
+                    a.add(0, x[0]);
+                    b.add(0, 0.5 * x[0]);
+                  },
+                  op2::arg_direct(w, op2::Acc::R), op2::arg_inc(acc, m.map, 1),
+                  op2::arg_inc(acc, m.map, 1));
+    return values(acc);
+  });
+}
+
+TEST(Ownership, DimFiveDat) {
+  MappedSet m(6000, 1500, 2, high_conflict);
+  expect_owner_sweep_matches_serial(
+      [&](op2::Context& ctx) { return scatter_columns(ctx, m, 5); });
+}
+
+TEST(Ownership, NegativeZeroIncrementsKeepTheirSign) {
+  // -0.0 + -0.0 is -0.0 but +0.0 + -0.0 is +0.0: a deferred slot that
+  // started at +0.0 would flip the sign of a target Serial leaves at
+  // -0.0.
+  MappedSet m(6000, 1500, 2, high_conflict);
+  expect_owner_sweep_matches_serial([&](op2::Context& ctx) {
+    op2::Dat<double> acc(m.to, 1, "acc");
+    for (std::size_t t = 0; t < m.to.size(); ++t) acc.at(t) = -0.0;
+    op2::par_loop(ctx, {"negative_zero"}, m.from,
+                  [](op2::Inc<double> a, op2::Inc<double> b) {
+                    a.add(0, -0.0);
+                    b.add(0, -0.0);
+                  },
+                  op2::arg_inc(acc, m.map, 0), op2::arg_inc(acc, m.map, 1));
+    EXPECT_TRUE(std::signbit(acc.at(0)));
+    return values(acc);
+  });
+}
+
+TEST(Ownership, PoolOfSizeOne) {
+  // Launches from a ScopedSerialExecution run as on a one-worker pool:
+  // one range owns every target and nothing is deferred.
+  MappedSet m(6000, 1500, 2, high_conflict);
+  syclport::rt::ScopedSerialExecution one_worker;
+  expect_owner_sweep_matches_serial(
+      [&](op2::Context& ctx) { return scatter_columns(ctx, m, 5); });
+}
+
 TEST(ParLoop, DirectLoopAllStrategiesIdentical) {
   RingMesh mesh(100);
   for (Strategy s :
@@ -238,6 +466,31 @@ TEST(ParLoop, GlobalReduction) {
                 op2::arg_direct(w, op2::Acc::R),
                 op2::arg_gbl(total, op2::RedOp::Sum));
   EXPECT_DOUBLE_EQ(total, 32.0);
+}
+
+TEST(ParLoop, SubsetWithGlobalReduction) {
+  // Every third element of 3000, so the subset spans several
+  // reduction blocks; integer values keep every sum exact.
+  op2::Set s("s", 3000);
+  op2::Dat<double> d(s, 1, "d");
+  std::vector<int> elems;
+  double expect = 0.0;
+  for (std::size_t e = 0; e < s.size(); ++e) {
+    d.at(e) = static_cast<double>(e);
+    if (e % 3 == 0) {
+      elems.push_back(static_cast<int>(e));
+      expect += static_cast<double>(e);
+    }
+  }
+  for (op2::Exec x : {op2::Exec::Serial, op2::Exec::Threads, op2::Exec::Sycl}) {
+    op2::Context ctx(opts(Strategy::Atomics, x));
+    double sum = 0.0;
+    op2::par_loop_subset(
+        ctx, {"subset_sum"}, s, elems,
+        [](const double* v, op2::Reducer<double> r) { r += v[0]; },
+        op2::arg_direct(d, op2::Acc::R), op2::arg_gbl(sum, op2::RedOp::Sum));
+    EXPECT_EQ(sum, expect);
+  }
 }
 
 TEST(Profiles, EdgeLoopAccountsDatsMapsOnce) {
