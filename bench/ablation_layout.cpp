@@ -145,8 +145,7 @@ int main() {
   t.render(std::cout);
 
   // --- gate 3: figure who-wins shapes survive ----------------------------
-  study::StudyRunner runner;
-  runner.set_mgcfd_bench(cfg);
+  study::StudyRunner runner(cfg);
   bool shape_ok = true;
   {
     // fig8: global colouring worst on the A100 (poor reuse, paper 4.3).

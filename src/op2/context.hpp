@@ -102,7 +102,10 @@ class Context {
   }
 
   /// Cached gather-locality statistics for accessing (dim x elem_bytes)
-  /// data in `layout` through `map` in the plan's execution order.
+  /// data in `layout` through `map` in the plan's execution order. A
+  /// context miss consults the process-wide memo_gather table, keyed by
+  /// the map's content, so each distinct mesh is measured once per
+  /// process; each map is hashed at most once per context.
   [[nodiscard]] const GatherStats& gather_for(const Map& map, int dim,
                                               std::size_t elem_bytes,
                                               Layout layout = Layout::AoS) {
@@ -118,10 +121,20 @@ class Context {
                                      elem_bytes, layout);
     auto it = gathers_.find(key);
     if (it == gathers_.end()) {
-      const auto order = execution_order(plan_for(map, strategy));
+      auto [hash, fresh] = map_hashes_.try_emplace(&map, 0);
+      if (fresh) hash->second = map_content_hash(map);
+      const GatherKey shared{hash->second,   map.from().size(),
+                             map.to().size(), map.arity(),
+                             strategy,       opt.block_size,
+                             dim,            elem_bytes,
+                             layout,         opt.wave};
       it = gathers_
-               .emplace(key, measure_gather(map, dim, elem_bytes, order,
-                                            opt.wave, 64.0, layout))
+               .emplace(key, memo_gather(shared, [&] {
+                          return measure_gather(
+                              map, dim, elem_bytes,
+                              execution_order(plan_for(map, strategy)),
+                              opt.wave, 64.0, layout);
+                        }))
                .first;
     }
     return it->second;
@@ -135,6 +148,7 @@ class Context {
                       Layout>,
            GatherStats>
       gathers_;
+  std::map<const void*, std::uint64_t> map_hashes_;
 };
 
 }  // namespace syclport::op2

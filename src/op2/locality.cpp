@@ -1,7 +1,9 @@
 #include "op2/locality.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
+#include <map>
+#include <mutex>
 #include <unordered_set>
 
 #include "op2/plan.hpp"
@@ -38,42 +40,54 @@ GatherStats measure_gather(const Map& map, int dat_dim,
   double total_line_bytes = 0.0;
   double total_ideal_bytes = 0.0;
   std::size_t nwaves = 0;
+  // The per-wave line set stays a hash set: its iteration order sets
+  // the reuse clock below, so the modelled factor_at depends on it.
   std::unordered_set<std::size_t> lines;
-  std::unordered_set<int> targets;
+  // Unique targets of the current wave: target t is counted once when
+  // its stamp is not yet the wave's (waves stamp 1, 2, ...).
+  std::vector<std::size_t> target_wave(ntargets, 0);
 
   // Reuse-distance bookkeeping: per line, the value of the traffic
   // clock at its last touch; a touch with (clock - last) beyond a cache
   // capacity is a miss for that capacity (recency approximates stack
-  // distance for streaming access patterns).
-  std::unordered_map<std::size_t, double> last_touch;
+  // distance for streaming access patterns). A line never touched was
+  // touched infinitely long ago: a miss at every capacity.
+  const std::size_t nlines =
+      (layout_slots(layout, ntargets, dim) * elem_bytes + line - 1) / line;
+  std::vector<double> last_touch(nlines,
+                                 -std::numeric_limits<double>::infinity());
   double clock = 0.0;
   std::array<double, hw::kGatherCachePoints.size()> miss_bytes{};
 
   for (std::size_t w = 0; w < order.size(); w += wave) {
     const std::size_t end = std::min(order.size(), w + wave);
     lines.clear();
-    targets.clear();
+    std::size_t wave_targets = 0;
     for (std::size_t i = w; i < end; ++i) {
       const auto e = static_cast<std::size_t>(order[i]);
       for (int m = 0; m < map.arity(); ++m) {
         const int t = map.at(e, m);
-        targets.insert(t);
+        std::size_t& stamp = target_wave[static_cast<std::size_t>(t)];
+        if (stamp != nwaves + 1) {
+          stamp = nwaves + 1;
+          ++wave_targets;
+        }
         touch_lines(t, [&](std::size_t b) { lines.insert(b); });
       }
     }
     // Per-wave line touches feed the reuse profile: one touch per
     // unique line per wave (intra-wave duplicates coalesce in the MSHR).
     for (std::size_t b : lines) {
-      auto [it, inserted] = last_touch.try_emplace(b, -1.0);
+      double& last = last_touch[b];
       for (std::size_t c = 0; c < hw::kGatherCachePoints.size(); ++c) {
-        if (inserted || clock - it->second > hw::kGatherCachePoints[c])
+        if (clock - last > hw::kGatherCachePoints[c])
           miss_bytes[c] += line_bytes;
       }
-      it->second = clock;
+      last = clock;
       clock += line_bytes;
     }
     total_line_bytes += static_cast<double>(lines.size()) * line_bytes;
-    total_ideal_bytes += static_cast<double>(targets.size() * payload);
+    total_ideal_bytes += static_cast<double>(wave_targets * payload);
     ++nwaves;
   }
 
@@ -81,18 +95,77 @@ GatherStats measure_gather(const Map& map, int dat_dim,
   gs.ideal_bytes_per_wave = total_ideal_bytes / static_cast<double>(nwaves);
 
   // Unique footprint over the whole sweep: every referenced target once.
-  std::unordered_set<int> all_targets;
+  std::vector<char> referenced(ntargets, 0);
+  std::size_t unique_targets = 0;
   for (int e : order)
-    for (int m = 0; m < map.arity(); ++m)
-      all_targets.insert(map.at(static_cast<std::size_t>(e), m));
-  const double unique_bytes =
-      static_cast<double>(all_targets.size() * payload);
+    for (int m = 0; m < map.arity(); ++m) {
+      char& seen = referenced[static_cast<std::size_t>(
+          map.at(static_cast<std::size_t>(e), m))];
+      unique_targets += seen == 0 ? 1 : 0;
+      seen = 1;
+    }
+  const double unique_bytes = static_cast<double>(unique_targets * payload);
   if (unique_bytes > 0.0) {
     gs.line_factor = std::max(1.0, total_line_bytes / unique_bytes);
     for (std::size_t c = 0; c < hw::kGatherCachePoints.size(); ++c)
       gs.factor_at[c] = std::max(1.0, miss_bytes[c] / unique_bytes);
   }
   return gs;
+}
+
+std::uint64_t map_content_hash(const Map& map) {
+  // splitmix64's finaliser folded over the entries, two per word.
+  auto mix = [](std::uint64_t x) {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  };
+  const std::size_t n =
+      map.from().size() * static_cast<std::size_t>(map.arity());
+  const int* data = map.row(0);
+  auto entry = [&](std::size_t i) -> std::uint64_t {
+    return static_cast<std::uint32_t>(data[i]);
+  };
+  std::uint64_t h = mix(n);
+  std::size_t i = 0;
+  for (; i + 1 < n; i += 2) h = mix(h + (entry(i) << 32 | entry(i + 1)));
+  if (i < n) h = mix(h + entry(i));
+  return h;
+}
+
+namespace {
+
+struct GatherMemo {
+  std::mutex mu;
+  std::map<GatherKey, GatherStats> entries;
+};
+
+GatherMemo& gather_memo() {
+  static GatherMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+GatherStats memo_gather(const GatherKey& key,
+                        const std::function<GatherStats()>& measure) {
+  GatherMemo& memo = gather_memo();
+  {
+    const std::lock_guard lock(memo.mu);
+    if (const auto it = memo.entries.find(key); it != memo.entries.end())
+      return it->second;
+  }
+  // Measure unlocked: threads racing on one key compute equal stats,
+  // and the first to finish publishes them.
+  const GatherStats gs = measure();
+  const std::lock_guard lock(memo.mu);
+  return memo.entries.emplace(key, gs).first->second;
+}
+
+std::size_t gather_memo_entries() {
+  GatherMemo& memo = gather_memo();
+  const std::lock_guard lock(memo.mu);
+  return memo.entries.size();
 }
 
 std::vector<int> execution_order(const Plan& plan) {

@@ -11,9 +11,13 @@
 /// indirect bytes.
 
 #include <array>
+#include <compare>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "core/types.hpp"
 #include "hwmodel/loop_profile.hpp"
 #include "op2/layout.hpp"
 #include "op2/set.hpp"
@@ -46,6 +50,36 @@ struct GatherStats {
                                          std::size_t wave = 64,
                                          double line_bytes = 64.0,
                                          Layout layout = Layout::AoS);
+
+/// 64-bit hash of a map's entries (its connectivity, not its address):
+/// equal for separately built identical meshes, different after a
+/// renumbering or any other edit through Map::at.
+[[nodiscard]] std::uint64_t map_content_hash(const Map& map);
+
+/// Everything gather statistics are a function of: the map's content
+/// and shape, the plan that orders its elements, and the access shape.
+struct GatherKey {
+  std::uint64_t map_hash = 0;
+  std::size_t from_size = 0;
+  std::size_t to_size = 0;
+  int arity = 0;
+  Strategy strategy = Strategy::Atomics;
+  std::size_t block_size = 0;
+  int dim = 0;
+  std::size_t elem_bytes = 0;
+  Layout layout = Layout::AoS;
+  std::size_t wave = 0;
+  auto operator<=>(const GatherKey&) const = default;
+};
+
+/// Process-wide memo of gather statistics: the stats recorded for
+/// `key`, calling `measure` only when no thread has recorded them yet.
+/// Thread-safe; entries live for the process.
+[[nodiscard]] GatherStats memo_gather(
+    const GatherKey& key, const std::function<GatherStats()>& measure);
+
+/// Number of entries in the memo_gather table.
+[[nodiscard]] std::size_t gather_memo_entries();
 
 /// The execution order a plan induces (identity for atomics, colour-
 /// grouped for global colouring, block-colour-grouped for hierarchical).

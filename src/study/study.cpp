@@ -153,25 +153,27 @@ void StudyRunner::set_structured_size(AppId app, apps::ProblemSize ps) {
 
 const std::vector<hw::LoopProfile>& StudyRunner::schedule(AppId app,
                                                           const Variant& v) {
-  const ScheduleKey key{app, v.uses_mpi(),
-                        app == AppId::MGCFD ? v.strategy : Strategy::None};
+  const bool mgcfd = app == AppId::MGCFD;
+  Strategy strategy = Strategy::None;
+  if (mgcfd)
+    strategy = v.strategy == Strategy::None ? Strategy::Atomics : v.strategy;
+  const ScheduleKey key{app, !mgcfd && v.uses_mpi(), strategy};
   if (auto it = schedules_.find(key); it != schedules_.end())
     return it->second;
 
   std::vector<hw::LoopProfile> profiles;
-  if (app == AppId::MGCFD) {
+  if (mgcfd) {
     op2::Options o;
     o.mode = op2::Mode::ModelOnly;
     o.exec = op2::Exec::Serial;
-    o.strategy = v.strategy == Strategy::None ? Strategy::Atomics : v.strategy;
+    o.strategy = strategy;
     // GPU hierarchical blocks of 256, CPU 4096 (paper §4.3); the
     // runner does not know the platform here, so the GPU size is used
     // and the block-count effect on CPUs is secondary (documented).
     o.block_size = 256;
-    apps::MgcfdConfig cfg = mgcfd_cfg_;
-    auto rs = apps::run_mgcfd(o, cfg);
+    auto rs = apps::run_mgcfd(o, mgcfd_cfg_);
     profiles = std::move(rs.profiles);
-    scale_mgcfd_profiles(profiles, cfg);
+    scale_mgcfd_profiles(profiles, mgcfd_cfg_);
   } else {
     ops::Options o;
     o.mode = ops::Mode::ModelOnly;

@@ -9,8 +9,8 @@
 ///   3. models every loop with DeviceModel, adds MPI halo costs, and
 ///      aggregates runtime, effective bandwidth and architectural
 ///      efficiency exactly as the paper defines them.
-/// Schedules are cached: they depend only on (app, backend family,
-/// strategy), not on the platform.
+/// Schedules are cached: they depend only on (app, backend family) for
+/// OPS apps and on the strategy for MG-CFD, not on the platform.
 
 #include <map>
 #include <memory>
@@ -68,6 +68,9 @@ void scale_mgcfd_profiles(std::vector<hw::LoopProfile>& profiles,
 class StudyRunner {
  public:
   StudyRunner() = default;
+  /// A runner whose MG-CFD schedules come from the `mgcfd` mesh (fast
+  /// tests, ablations) instead of mgcfd_bench().
+  explicit StudyRunner(apps::MgcfdConfig mgcfd) : mgcfd_cfg_(mgcfd) {}
 
   /// Model one experiment cell at the paper's problem size.
   [[nodiscard]] ExperimentResult run(AppId app, PlatformId platform,
@@ -75,7 +78,6 @@ class StudyRunner {
 
   /// Override problem sizes (for fast tests); defaults to paper sizes.
   void set_structured_size(AppId app, apps::ProblemSize ps);
-  void set_mgcfd_bench(apps::MgcfdConfig cfg) { mgcfd_cfg_ = cfg; }
 
   /// The cached loop schedule used for (app, v): exposed for trace
   /// emission and analysis tools.
@@ -85,10 +87,13 @@ class StudyRunner {
   }
 
  private:
+  /// What a schedule depends on. OPS apps record halos under MPI;
+  /// MG-CFD's model-only run reads only the effective strategy, so its
+  /// MPI and shared-memory variants share one schedule.
   struct ScheduleKey {
     AppId app;
-    bool mpi;         ///< MPI-family backend (halo recording on)
-    Strategy strategy;///< MG-CFD only
+    bool mpi;         ///< OPS only: MPI-family backend (halo recording on)
+    Strategy strategy;///< MG-CFD only: None runs as Atomics
     auto operator<=>(const ScheduleKey&) const = default;
   };
 

@@ -1,14 +1,20 @@
 // Locality & layout engine tests: RCM/SFC renumbering (bandwidth and
 // gather reduction, permutation algebra, end-to-end mesh consistency),
-// physical-layout transcoding, the staged gather/scatter lowering's
-// bit-exactness contract, and layout/ordering-canonical checkpoints.
+// the process-wide gather-statistics memo, physical-layout transcoding,
+// the staged gather/scatter lowering's bit-exactness contract, and
+// layout/ordering-canonical checkpoints.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "apps/mgcfd/mgcfd.hpp"
@@ -382,6 +388,199 @@ TEST(LocalityStaged, StagedProfileRecordsTwoLaunchesNoAtomics) {
   EXPECT_EQ(ctx.profiles[0].launches, 2u);
   EXPECT_EQ(ctx.profiles[0].atomic_updates, 0u);
   EXPECT_GT(ctx.profiles[0].staged_bytes, 0.0);
+}
+
+// --- gather-statistics memo --------------------------------------------------
+
+namespace {
+
+/// A dat dim no earlier gather_for call in this process used, so each
+/// call with it misses the memo (also under --gtest_repeat).
+int fresh_dim() {
+  static int next = 16;  // above every dim the other tests gather
+  return next++;
+}
+
+bool same_bits(const op2::GatherStats& a, const op2::GatherStats& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+op2::GatherStats measured_directly(const op2::Map& map, int dim,
+                                   Strategy s, op2::Layout layout) {
+  const op2::Options o;
+  return op2::measure_gather(
+      map, dim, 8,
+      op2::execution_order(op2::build_plan(map, s, o.block_size, 0)), o.wave,
+      64.0, layout);
+}
+
+}  // namespace
+
+TEST(LocalityGatherCache, IdenticalMeshesShareOneEntry) {
+  // Two separately built meshes with equal connectivity live at
+  // different addresses; the memo keys by content, so the second
+  // context reads the first one's entry.
+  auto a = apps::mgcfd::build_rotor_mesh(10, 8, 6, 3);
+  auto b = apps::mgcfd::build_rotor_mesh(10, 8, 6, 3);
+  const int dim = fresh_dim();
+  const std::size_t before = op2::gather_memo_entries();
+  op2::Context ca;
+  const op2::GatherStats sa = ca.gather_for(*a.levels.front().e2n, dim, 8,
+                                            Strategy::Atomics,
+                                            op2::Layout::AoS);
+  EXPECT_EQ(op2::gather_memo_entries(), before + 1);
+  op2::Context cb;
+  const op2::GatherStats sb = cb.gather_for(*b.levels.front().e2n, dim, 8,
+                                            Strategy::Atomics,
+                                            op2::Layout::AoS);
+  EXPECT_EQ(op2::gather_memo_entries(), before + 1);
+  EXPECT_TRUE(same_bits(sa, sb));
+}
+
+TEST(LocalityGatherCache, RenumberedMeshGetsItsOwnEntry) {
+  auto mesh = apps::mgcfd::build_rotor_mesh(10, 8, 6, 3);
+  const op2::Map& e2n = *mesh.levels.front().e2n;
+  const std::uint64_t identity_hash = op2::map_content_hash(e2n);
+  const int dim = fresh_dim();
+  const std::size_t before = op2::gather_memo_entries();
+  op2::GatherStats identity;
+  {
+    op2::Context ctx;
+    identity = ctx.gather_for(e2n, dim, 8, Strategy::GlobalColor,
+                              op2::Layout::SoA);
+  }
+  apps::mgcfd::renumber_mesh(mesh, op2::Ordering::RCM);
+  EXPECT_NE(op2::map_content_hash(e2n), identity_hash);
+  op2::Context ctx;
+  const op2::GatherStats renumbered =
+      ctx.gather_for(e2n, dim, 8, Strategy::GlobalColor, op2::Layout::SoA);
+  EXPECT_EQ(op2::gather_memo_entries(), before + 2);
+  EXPECT_TRUE(same_bits(renumbered,
+                        measured_directly(e2n, dim, Strategy::GlobalColor,
+                                          op2::Layout::SoA)));
+  EXPECT_FALSE(same_bits(renumbered, identity));
+}
+
+TEST(LocalityGatherCache, StatsBitsMatchTheUncachedSimulation) {
+  // Bits of (avg, ideal, line_factor, factor_at[0..2]) for the fine e2n
+  // (dim 5 doubles, default block size and wave) as the per-context,
+  // hash-set simulation computed them before the memo existed. Both
+  // meshes fit a 4 MB cache, so factor_at[3..7] are exactly 1.0. The
+  // 24x20x16 mesh overflows the smaller cache points, which pins the
+  // reuse clock's order of line touches.
+  struct Golden {
+    bool larger_mesh;
+    Strategy strategy;
+    op2::Layout layout;
+    std::array<std::uint64_t, 6> bits;
+  };
+  static constexpr Golden kGolden[] = {
+      {false, Strategy::Atomics, op2::Layout::AoS,
+       {0x409dc80000000000, 0x409bf30000000000, 0x400969d0369d036a,
+        0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {false, Strategy::Atomics, op2::Layout::SoA,
+       {0x40a1e40000000000, 0x409bf30000000000, 0x400e888888888889,
+        0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {false, Strategy::Atomics, op2::Layout::AoSoA,
+       {0x40a1e40000000000, 0x409bf30000000000, 0x400e888888888889,
+        0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {false, Strategy::GlobalColor, op2::Layout::AoS,
+       {0x40b67c0000000000, 0x40b39c0000000000, 0x40232fc962fc9630,
+        0x3ff07ae147ae147b, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {false, Strategy::GlobalColor, op2::Layout::SoA,
+       {0x40bb760000000000, 0x40b39c0000000000, 0x40276eeeeeeeeeef,
+        0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {false, Strategy::GlobalColor, op2::Layout::AoSoA,
+       {0x40bb760000000000, 0x40b39c0000000000, 0x40276eeeeeeeeeef,
+        0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {false, Strategy::Hierarchical, op2::Layout::AoS,
+       {0x40a3000000000000, 0x40a11c0000000000, 0x4010369d0369d037,
+        0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {false, Strategy::Hierarchical, op2::Layout::SoA,
+       {0x40a6bc0000000000, 0x40a11c0000000000, 0x4013666666666666,
+        0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {false, Strategy::Hierarchical, op2::Layout::AoSoA,
+       {0x40a6bc0000000000, 0x40a11c0000000000, 0x4013666666666666,
+        0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {true, Strategy::Atomics, op2::Layout::AoS,
+       {0x40a6b07507507507, 0x40a4a72492492492, 0x40152d3a06d3a06d,
+        0x3ff58da740da740e, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {true, Strategy::Atomics, op2::Layout::SoA,
+       {0x40ab4c9249249249, 0x40a4a72492492492, 0x40197aaaaaaaaaab,
+        0x3ffecccccccccccd, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {true, Strategy::Atomics, op2::Layout::AoSoA,
+       {0x40ab4c9249249249, 0x40a4a72492492492, 0x40197aaaaaaaaaab,
+        0x3ffecccccccccccd, 0x3ff0000000000000, 0x3ff0000000000000}},
+      {true, Strategy::GlobalColor, op2::Layout::AoS,
+       {0x40b5de83a83a83a8, 0x40b4000000000000, 0x40246947ae147ae1,
+        0x402300a3d70a3d71, 0x4022d9b4e81b4e82, 0x3ff097e4b17e4b18}},
+      {true, Strategy::GlobalColor, op2::Layout::SoA,
+       {0x40bc236db6db6db7, 0x40b4000000000000, 0x402a433333333333,
+        0x4023588888888889, 0x40232e4b17e4b17e, 0x3ff0b33333333333}},
+      {true, Strategy::GlobalColor, op2::Layout::AoSoA,
+       {0x40bc236db6db6db7, 0x40b4000000000000, 0x402a433333333333,
+        0x4023588888888889, 0x40232dddddddddde, 0x3ff0b33333333333}},
+      {true, Strategy::Hierarchical, op2::Layout::AoS,
+       {0x40a7b24924924925, 0x40a429db6db6db6e, 0x40161dddddddddde,
+        0x400690a3d70a3d71, 0x400690a3d70a3d71, 0x3ff0317e4b17e4b1}},
+      {true, Strategy::Hierarchical, op2::Layout::SoA,
+       {0x40b1d9b6db6db6db, 0x40a429db6db6db6e, 0x4020a91111111111,
+        0x4008355555555555, 0x4008355555555555, 0x3ff6c00000000000}},
+      {true, Strategy::Hierarchical, op2::Layout::AoSoA,
+       {0x40b1d9b6db6db6db, 0x40a429db6db6db6e, 0x4020a91111111111,
+        0x4008355555555555, 0x4008355555555555, 0x3ff6c00000000000}},
+  };
+  const auto small = apps::mgcfd::build_rotor_mesh(10, 8, 6, 3);
+  const auto larger = apps::mgcfd::build_rotor_mesh(24, 20, 16, 3);
+  op2::Context ctx;
+  for (const Golden& g : kGolden) {
+    const op2::Map& e2n =
+        *(g.larger_mesh ? larger : small).levels.front().e2n;
+    for (const op2::GatherStats& gs :
+         {ctx.gather_for(e2n, 5, 8, g.strategy, g.layout),
+          measured_directly(e2n, 5, g.strategy, g.layout)}) {
+      SCOPED_TRACE(std::string(syclport::to_string(g.strategy)) + "/" +
+                   std::string(op2::to_string(g.layout)) +
+                   (g.larger_mesh ? " 24x20x16" : " 10x8x6"));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(gs.avg_bytes_per_wave),
+                g.bits[0]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(gs.ideal_bytes_per_wave),
+                g.bits[1]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(gs.line_factor), g.bits[2]);
+      for (std::size_t c = 0; c < gs.factor_at.size(); ++c)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(gs.factor_at[c]),
+                  c < 3 ? g.bits[3 + c] : 0x3ff0000000000000u)
+            << "factor_at[" << c << "]";
+    }
+  }
+}
+
+TEST(LocalityGatherCache, ConcurrentContextsAgreeBitForBit) {
+  // Four threads, each with its own context, miss on the same fresh
+  // keys of one shared map at once.
+  auto mesh = apps::mgcfd::build_rotor_mesh(24, 20, 16, 3);
+  const op2::Map& e2n = *mesh.levels.front().e2n;
+  const int dim = fresh_dim();
+  constexpr std::array kStrategies = {Strategy::Atomics, Strategy::GlobalColor,
+                                      Strategy::Hierarchical};
+  constexpr int kThreads = 4;
+  std::vector<std::array<op2::GatherStats, kStrategies.size()>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      op2::Context ctx;
+      for (std::size_t s = 0; s < kStrategies.size(); ++s)
+        got[static_cast<std::size_t>(t)][s] =
+            ctx.gather_for(e2n, dim, 8, kStrategies[s], op2::Layout::AoS);
+    });
+  for (auto& th : threads) th.join();
+  for (std::size_t s = 0; s < kStrategies.size(); ++s) {
+    const op2::GatherStats want =
+        measured_directly(e2n, dim, kStrategies[s], op2::Layout::AoS);
+    for (int t = 0; t < kThreads; ++t)
+      EXPECT_TRUE(same_bits(got[static_cast<std::size_t>(t)][s], want))
+          << "thread " << t << ", strategy " << s;
+  }
 }
 
 // --- canonical checkpoints ---------------------------------------------------

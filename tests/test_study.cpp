@@ -21,14 +21,13 @@ namespace {
 /// binaries.
 study::StudyRunner& runner() {
   static study::StudyRunner r = [] {
-    study::StudyRunner s;
+    study::StudyRunner s(apps::MgcfdConfig{48, 40, 32, 3, 10});
     s.set_structured_size(AppId::CloverLeaf2D, {{1920, 1920, 1}, 10});
     s.set_structured_size(AppId::CloverLeaf3D, {{128, 128, 128}, 10});
     s.set_structured_size(AppId::OpenSBLI_SA, {{160, 160, 160}, 5});
     s.set_structured_size(AppId::OpenSBLI_SN, {{160, 160, 160}, 5});
     s.set_structured_size(AppId::RTM, {{320, 320, 320}, 5});
     s.set_structured_size(AppId::Acoustic, {{500, 500, 500}, 5});
-    s.set_mgcfd_bench({48, 40, 32, 3, 10});
     return s;
   }();
   return r;
@@ -273,4 +272,28 @@ TEST(Trace, ScheduleExposureIsStable) {
   const auto& a = r.schedule_for(AppId::RTM, v);
   const auto& b = r.schedule_for(AppId::RTM, v);
   EXPECT_EQ(&a, &b);  // cached, not rebuilt
+}
+
+TEST(Study, MgcfdMpiVariantsShareSharedMemorySchedule) {
+  // MG-CFD's model-only run reads only the effective strategy: the MPI
+  // builds (Strategy::None runs as atomics) reuse the shared-memory
+  // schedules, so a report records three MG-CFD schedules, not five.
+  auto& r = runner();
+  const auto* atomics = &r.schedule_for(
+      AppId::MGCFD, {Model::SYCLNDRange, Toolchain::DPCPP, Strategy::Atomics});
+  EXPECT_EQ(&r.schedule_for(AppId::MGCFD,
+                            {Model::MPI, Toolchain::Native, Strategy::None}),
+            atomics);
+  const auto* hier =
+      &r.schedule_for(AppId::MGCFD, {Model::SYCLNDRange, Toolchain::DPCPP,
+                                     Strategy::Hierarchical});
+  EXPECT_EQ(&r.schedule_for(AppId::MGCFD, {Model::MPI_OpenMP,
+                                           Toolchain::Native,
+                                           Strategy::Hierarchical}),
+            hier);
+  EXPECT_NE(atomics, hier);
+  EXPECT_NE(&r.schedule_for(AppId::MGCFD, {Model::SYCLNDRange,
+                                           Toolchain::DPCPP,
+                                           Strategy::GlobalColor}),
+            atomics);
 }
