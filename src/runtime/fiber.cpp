@@ -8,9 +8,8 @@ namespace syclport::rt {
 namespace {
 thread_local Fiber* t_current_fiber = nullptr;
 
-/// Per-thread flag set while executing the fast (loop) portion of a
-/// barrier group; a barrier there violates SYCL barrier uniformity.
-thread_local bool t_fast_group_active = false;
+/// The innermost work-group running on this thread (null outside one).
+thread_local detail::GroupScope* t_group = nullptr;
 
 // --- per-thread fiber stack pool -------------------------------------------
 
@@ -119,70 +118,84 @@ void Fiber::yield() {
 
 // --- barrier groups ---------------------------------------------------------
 
-bool inside_barrier_group() noexcept {
-  return t_fast_group_active || t_current_fiber != nullptr;
-}
-
 void group_barrier() {
+  if (t_group != nullptr) {
+    t_group->barrier();
+    return;
+  }
   if (t_current_fiber != nullptr) {
     Fiber::yield();
     return;
   }
-  if (t_fast_group_active)
-    throw std::logic_error(
-        "group_barrier: non-uniform barrier (work-item 0 did not reach it)");
   throw std::logic_error("group_barrier called outside a work-group");
 }
 
 namespace detail {
 
-namespace {
-void probe_entry(void* p) {
-  auto* item = static_cast<BarrierProbe::Item0*>(p);
-  item->invoke(item->task, 0);
+GroupScope::GroupScope(std::size_t n, GroupInvoke invoke, void* task) noexcept
+    : n_(n),
+      invoke_(invoke),
+      task_(task),
+      outer_(t_group),
+      outer_fiber_(t_current_fiber) {
+  // Item 0 runs on this stack as the group's own item, not as a step
+  // of whatever fiber the enclosing work-item may be running on.
+  t_group = this;
+  t_current_fiber = nullptr;
 }
-}  // namespace
 
-BarrierProbe::BarrierProbe(GroupInvoke invoke, void* task)
-    : item0_{invoke, task}, fiber_(&probe_entry, &item0_) {
-  suspended_ = fiber_.resume();
+GroupScope::~GroupScope() {
+  t_group = outer_;
+  t_current_fiber = outer_fiber_;
 }
 
-FastGroupGuard::FastGroupGuard() noexcept { t_fast_group_active = true; }
-FastGroupGuard::~FastGroupGuard() { t_fast_group_active = false; }
-
-bool run_barrier_group_fibers(std::size_t n, GroupInvoke invoke, void* task,
-                              BarrierProbe& probe) {
-  // The probe sits at its first barrier; give every other work-item a
-  // fiber and bring each to the same point before starting full rounds,
-  // so that no fiber ever runs past barrier k before all reached it.
-  struct Item {
-    GroupInvoke invoke;
-    void* task;
-    std::size_t i;
-  };
-  std::vector<Item> items(n);
-  std::vector<std::unique_ptr<Fiber>> fibers;
-  fibers.reserve(n - 1);
-  for (std::size_t i = 1; i < n; ++i) {
-    items[i] = Item{invoke, task, i};
-    fibers.push_back(std::make_unique<Fiber>(
-        [](void* p) {
-          auto* item = static_cast<Item*>(p);
-          item->invoke(item->task, item->i);
-        },
-        &items[i]));
-    fibers.back()->resume();
+void GroupScope::barrier() {
+  switch (phase_) {
+    case Phase::Item0:
+      if (t_current_fiber != nullptr)
+        Fiber::yield();  // a fiber item, now level with item 0
+      else
+        round();
+      return;
+    case Phase::Tail:
+      throw std::logic_error(
+          "group_barrier: non-uniform barrier (work-item 0 did not reach it)");
+    case Phase::Drain:
+      throw std::logic_error(
+          "group_barrier: non-uniform barrier (work-item 0 had returned)");
   }
+}
 
-  bool any_live = true;
-  while (any_live) {
-    any_live = false;
-    if (!probe.fiber().done() && probe.fiber().resume()) any_live = true;
-    for (auto& f : fibers)
-      if (!f->done() && f->resume()) any_live = true;
+void GroupScope::round() {
+  static constexpr const char* kReturned =
+      "group_barrier: non-uniform barrier (a work-item returned while "
+      "work-item 0 waited at it)";
+  if (!used_barrier_) {
+    // First barrier: start every other item and run it to this same
+    // barrier before item 0 continues, so that no item ever runs past
+    // barrier k before all reached it.
+    used_barrier_ = true;
+    items_.reserve(n_ - 1);
+    fibers_.reserve(n_ - 1);
+    for (std::size_t i = 1; i < n_; ++i) {
+      items_.push_back(Item{invoke_, task_, i});
+      fibers_.push_back(std::make_unique<Fiber>(
+          [](void* p) {
+            auto* item = static_cast<Item*>(p);
+            item->invoke(item->task, item->i);
+          },
+          &items_.back()));
+      if (!fibers_.back()->resume()) throw std::logic_error(kReturned);
+    }
+    return;
   }
-  return true;
+  for (auto& f : fibers_)
+    if (!f->resume()) throw std::logic_error(kReturned);
+}
+
+void GroupScope::drain() {
+  phase_ = Phase::Drain;
+  for (auto& f : fibers_) f->resume();
 }
 
 }  // namespace detail

@@ -1,11 +1,16 @@
 #pragma once
 /// \file fiber.hpp
-/// User-level cooperative fibers built on POSIX ucontext. The miniSYCL
-/// executor uses one fiber per work-item when a kernel contains
-/// group barriers: at a barrier every fiber yields back to the group
-/// scheduler, which resumes the next work-item, giving correct SYCL
-/// barrier semantics on a CPU without compiler support (the same
-/// technique OpenCL CPU runtimes use).
+/// Work-groups with SYCL barrier semantics on a CPU thread, and the
+/// user-level cooperative fibers (POSIX ucontext) behind them.
+///
+/// run_barrier_group runs work-item 0 of a group on the calling
+/// thread's own stack. If item 0 returns without reaching a barrier
+/// then - by SYCL's barrier-uniformity rule - no other item will, and
+/// items 1..n-1 run as a plain loop: a barrier-free group costs no
+/// fiber at all. Only when item 0 reaches group_barrier() do items
+/// 1..n-1 get fibers; each barrier of item 0 then brings every fiber
+/// item to that same barrier before item 0 continues (the technique
+/// OpenCL CPU runtimes use, without re-executing anything).
 ///
 /// Fiber stacks come from a per-thread pool: the default-size stack is
 /// recycled across groups instead of heap-allocated per fiber, so a
@@ -84,81 +89,98 @@ namespace detail {
 /// Type-erased work-item entry: `invoke(task, i)` runs item i.
 using GroupInvoke = void (*)(void* task, std::size_t index);
 
-/// Runs work-item 0 of a barrier group on a (pooled) fiber. If the item
-/// finished without yielding the group has no barriers; otherwise the
-/// probe sits suspended at its first barrier.
-class BarrierProbe {
+/// The work-group running on this thread, from item 0's start to the
+/// group's end. It is the thread's current group for that time, and
+/// the thread's outer group and fiber are restored when it ends, so
+/// groups nest inside work-items and unwind cleanly on exceptions.
+class GroupScope {
  public:
-  BarrierProbe(GroupInvoke invoke, void* task);
+  GroupScope(std::size_t n, GroupInvoke invoke, void* task) noexcept;
+  ~GroupScope();
+  GroupScope(const GroupScope&) = delete;
+  GroupScope& operator=(const GroupScope&) = delete;
 
-  BarrierProbe(const BarrierProbe&) = delete;
-  BarrierProbe& operator=(const BarrierProbe&) = delete;
+  /// True once item 0 has reached a barrier (fiber mode).
+  [[nodiscard]] bool used_barrier() const noexcept { return used_barrier_; }
 
-  [[nodiscard]] bool suspended() const noexcept { return suspended_; }
-  [[nodiscard]] Fiber& fiber() noexcept { return fiber_; }
+  /// Item 0 returned in fiber mode: run every fiber item to its end.
+  void drain();
 
-  struct Item0 {
-    GroupInvoke invoke;
-    void* task;
-  };
+  /// Item 0 returned without a barrier: items 1..n-1 run inline next,
+  /// and a barrier reached there is non-uniform.
+  void enter_tail() noexcept { phase_ = Phase::Tail; }
+
+  /// group_barrier() of a work-item of this group.
+  void barrier();
 
  private:
-  Item0 item0_;
-  Fiber fiber_;
-  bool suspended_ = false;
-};
+  enum class Phase { Item0, Tail, Drain };
 
-/// RAII scope for the fast (loop) portion of a barrier group; a barrier
-/// reached inside it violates SYCL barrier uniformity.
-class FastGroupGuard {
- public:
-  FastGroupGuard() noexcept;
-  ~FastGroupGuard();
-  FastGroupGuard(const FastGroupGuard&) = delete;
-  FastGroupGuard& operator=(const FastGroupGuard&) = delete;
-};
+  struct Item {
+    GroupInvoke invoke;
+    void* task;
+    std::size_t i;
+  };
 
-/// Fiber-mode tail of run_barrier_group: items 1..n-1 get fibers and the
-/// group round-robins until every item completes. Always returns true.
-bool run_barrier_group_fibers(std::size_t n, GroupInvoke invoke, void* task,
-                              BarrierProbe& probe);
+  /// Item 0 is at a barrier: bring every other item to it (on the
+  /// first barrier, start each on its own fiber).
+  void round();
+
+  std::size_t n_;
+  GroupInvoke invoke_;
+  void* task_;
+  Phase phase_ = Phase::Item0;
+  bool used_barrier_ = false;
+  std::vector<Item> items_;
+  std::vector<std::unique_ptr<Fiber>> fibers_;
+  GroupScope* outer_;
+  Fiber* outer_fiber_;
+};
 
 }  // namespace detail
 
 /// Runs `n` logical work-items that may synchronise with group_barrier().
 ///
-/// Work-item 0 executes first as a *probe fiber*. If it completes
-/// without hitting a barrier then - by SYCL's barrier-uniformity rule -
-/// no other work-item will either, and items 1..n-1 run as a plain
-/// inlined loop (fast path: one pooled fiber per group total and no
-/// type-erased calls). If the probe suspends at a barrier, the executor
-/// creates fibers for the remaining items and round-robins through the
-/// group; nothing is ever re-executed. A barrier reached by a non-probe
-/// item on the fast path violates uniformity and raises std::logic_error.
+/// Work-item 0 runs first, on the calling thread's stack. If it
+/// returns without reaching a barrier, `tail(1, n)` runs items 1..n-1
+/// in ascending order with no fiber. If it reaches a barrier, items
+/// 1..n-1 run on fibers that item 0's barriers step in lock step, and
+/// `tail` is not called; nothing is ever re-executed. A non-uniform
+/// barrier raises std::logic_error: one reached on the tail, a fiber
+/// item that returns while item 0 waits at a barrier, or a fiber item
+/// that reaches a barrier after item 0 returned.
 ///
 /// Returns true when the group actually used barriers (fiber mode).
-template <typename F>
-bool run_barrier_group(std::size_t n, F&& task) {
+template <typename F, typename Tail>
+bool run_barrier_group(std::size_t n, F&& task, Tail&& tail) {
   if (n == 0) return false;
   using Task = std::remove_reference_t<F>;
   const detail::GroupInvoke invoke = [](void* t, std::size_t i) {
     (*static_cast<Task*>(t))(i);
   };
-  void* ctx = const_cast<void*>(static_cast<const void*>(std::addressof(task)));
-  detail::BarrierProbe probe(invoke, ctx);
-  if (!probe.suspended()) {
-    detail::FastGroupGuard guard;
-    for (std::size_t i = 1; i < n; ++i) task(i);
-    return false;
+  detail::GroupScope scope(
+      n, invoke,
+      const_cast<void*>(static_cast<const void*>(std::addressof(task))));
+  task(std::size_t{0});
+  if (scope.used_barrier()) {
+    scope.drain();
+    return true;
   }
-  return detail::run_barrier_group_fibers(n, invoke, ctx, probe);
+  scope.enter_tail();
+  tail(std::size_t{1}, n);
+  return false;
+}
+
+/// run_barrier_group whose barrier-free tail calls `task` per item.
+template <typename F>
+bool run_barrier_group(std::size_t n, F&& task) {
+  return run_barrier_group(n, task, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) task(i);
+  });
 }
 
 /// SYCL-style group barrier; callable only from inside run_barrier_group
 /// tasks (or any live Fiber, where it yields).
 void group_barrier();
-
-/// True while the calling thread is inside a run_barrier_group task.
-[[nodiscard]] bool inside_barrier_group() noexcept;
 
 }  // namespace syclport::rt

@@ -227,32 +227,58 @@ void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
              syclport::rt::ThreadPool::last_stats());
 }
 
+/// Runs work-group `g` of an nd_range launch through
+/// run_barrier_group, calling f(nd_item) for each of its work-items.
+/// Item 0 and any fiber items build their nd_item from the local
+/// linear id. The barrier-free tail walks the group's local rows in
+/// ascending linear order with for_row_ids: it delinearizes once per
+/// row, then steps the fast local index. Returns true if the group used
+/// barriers.
+template <int Dims, typename F>
+bool run_nd_group(const nd_range<Dims>& ndr, std::size_t sg_size,
+                  std::size_t g, F&& f) {
+  const range<Dims> groups = ndr.get_group_range();
+  const range<Dims> local = ndr.get_local_range();
+  const range<Dims> global = ndr.get_global_range();
+  const id<Dims> gid = delinearize(g, groups);
+  id<Dims> origin;  // global id of the group's local id 0
+  for (int d = 0; d < Dims; ++d) origin[d] = gid[d] * local[d];
+  auto run = [&](const id<Dims>& lid, std::size_t li) {
+    id<Dims> glob;
+    for (int d = 0; d < Dims; ++d) glob[d] = origin[d] + lid[d];
+    f(nd_item<Dims>(glob, lid, group<Dims>(gid, groups, local, li), global,
+                    sg_size));
+  };
+  const std::size_t fast = local[Dims - 1];
+  return syclport::rt::run_barrier_group(
+      local.size(),
+      [&](std::size_t li) { run(delinearize(li, local), li); },
+      [&](std::size_t b, std::size_t e) {
+        syclport::rt::autotune::for_each_row_segment(
+            b, e, fast, [&](std::size_t row, std::size_t jb, std::size_t je) {
+              std::size_t li = row * fast + jb;
+              for_row_ids(local, row, jb, je,
+                          [&](const id<Dims>& lid) { run(lid, li++); });
+            });
+      });
+}
+
 template <int Dims, typename K>
 void exec_nd(const device& dev, const char* name, const nd_range<Dims>& ndr,
              const K& k) {
   syclport::rt::autotune::TunedLaunchParams tuned(
       exec_site(name, Dims, to3(ndr.get_global_range()), true));
   syclport::WallTimer t;
-  const range<Dims> groups = ndr.get_group_range();
-  const range<Dims> local = ndr.get_local_range();
-  const range<Dims> global = ndr.get_global_range();
+  const std::size_t sg_size = dev.profile().sub_group_size;
   std::atomic<bool> used_barrier{false};
   syclport::rt::ThreadPool::global().run_chunks(
-      groups.size(), [&](std::size_t g) {
+      ndr.get_group_range().size(), [&](std::size_t g) {
         local_reset();
-        const id<Dims> gid = delinearize(g, groups);
-        const bool b = syclport::rt::run_barrier_group(
-            local.size(), [&](std::size_t li) {
-              const id<Dims> lid = delinearize(li, local);
-              id<Dims> glob;
-              for (int d = 0; d < Dims; ++d)
-                glob[d] = gid[d] * local[d] + lid[d];
-              k(nd_item<Dims>(glob, lid, group<Dims>(gid, groups, local, li),
-                              global, dev.profile().sub_group_size));
-            });
-        if (b) used_barrier.store(true, std::memory_order_relaxed);
+        if (run_nd_group(ndr, sg_size, g, k))
+          used_barrier.store(true, std::memory_order_relaxed);
       });
-  log_launch(name, Dims, to3(global), to3(local), used_barrier.load(), false,
+  log_launch(name, Dims, to3(ndr.get_global_range()),
+             to3(ndr.get_local_range()), used_barrier.load(), false,
              t.seconds(), syclport::rt::ThreadPool::last_stats());
 }
 
@@ -263,32 +289,23 @@ void exec_nd_reduce(const device& dev, const char* name,
   syclport::rt::autotune::TunedLaunchParams tuned(
       exec_site(name, Dims, to3(ndr.get_global_range()), true));
   syclport::WallTimer t;
-  const range<Dims> groups = ndr.get_group_range();
-  const range<Dims> local = ndr.get_local_range();
-  const range<Dims> global = ndr.get_global_range();
-  // One partial per work-group, folded in group linear id order.
-  std::vector<T> parts(groups.size(), red.identity);
+  const std::size_t sg_size = dev.profile().sub_group_size;
+  // One partial per work-group, folded in group linear id order; a
+  // barrier-free group accumulates its items in local linear order.
+  std::vector<T> parts(ndr.get_group_range().size(), red.identity);
   std::atomic<bool> used_barrier{false};
   syclport::rt::ThreadPool::global().run_chunks(
-      groups.size(), [&](std::size_t g) {
+      parts.size(), [&](std::size_t g) {
         local_reset();
-        const id<Dims> gid = delinearize(g, groups);
         reducer<T, Op> part(red.identity, red.op);
-        const bool b = syclport::rt::run_barrier_group(
-            local.size(), [&](std::size_t li) {
-              const id<Dims> lid = delinearize(li, local);
-              id<Dims> glob;
-              for (int d = 0; d < Dims; ++d)
-                glob[d] = gid[d] * local[d] + lid[d];
-              k(nd_item<Dims>(glob, lid, group<Dims>(gid, groups, local, li),
-                              global, dev.profile().sub_group_size),
-                part);
-            });
-        if (b) used_barrier.store(true, std::memory_order_relaxed);
+        if (run_nd_group(ndr, sg_size, g,
+                         [&](const nd_item<Dims>& it) { k(it, part); }))
+          used_barrier.store(true, std::memory_order_relaxed);
         parts[g] = part.value();
       });
   syclport::fold_partials(*red.target, parts, red.op);
-  log_launch(name, Dims, to3(global), to3(local), used_barrier.load(), true,
+  log_launch(name, Dims, to3(ndr.get_global_range()),
+             to3(ndr.get_local_range()), used_barrier.load(), true,
              t.seconds(), syclport::rt::ThreadPool::last_stats());
 }
 

@@ -109,7 +109,7 @@ class nd_item {
   }
 
   /// Work-group barrier. All work-items of the group must reach the
-  /// same barrier (SYCL requirement); enforced by the fiber scheduler.
+  /// same barrier (SYCL requirement); enforced by run_barrier_group.
   void barrier(access::fence_space =
                    access::fence_space::global_and_local) const {
     syclport::rt::group_barrier();

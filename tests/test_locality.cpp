@@ -15,6 +15,7 @@
 #include <random>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/mgcfd/mgcfd.hpp"
@@ -459,6 +460,35 @@ TEST(LocalityGatherCache, RenumberedMeshGetsItsOwnEntry) {
                         measured_directly(e2n, dim, Strategy::GlobalColor,
                                           op2::Layout::SoA)));
   EXPECT_FALSE(same_bits(renumbered, identity));
+}
+
+TEST(LocalityGatherCache, AtEditAfterGatherGetsANewKey) {
+  // The memo is keyed by the map's content, not its address: an edit
+  // through Map::at after a gather makes the next context measure the
+  // edited mesh under a new key.
+  auto mesh = apps::mgcfd::build_rotor_mesh(10, 8, 6, 3);
+  op2::Map& e2n = *mesh.levels.front().e2n;
+  const int dim = fresh_dim();
+  const std::size_t before = op2::gather_memo_entries();
+  {
+    op2::Context ctx;
+    (void)ctx.gather_for(e2n, dim, 8, Strategy::Atomics, op2::Layout::AoS);
+  }
+  const std::uint64_t unedited = op2::map_content_hash(e2n);
+  std::swap(e2n.at(0, 0), e2n.at(0, 1));
+  EXPECT_NE(op2::map_content_hash(e2n), unedited);
+  op2::Context ctx;
+  const op2::GatherStats edited =
+      ctx.gather_for(e2n, dim, 8, Strategy::Atomics, op2::Layout::AoS);
+  EXPECT_EQ(op2::gather_memo_entries(), before + 2);
+  EXPECT_TRUE(same_bits(edited, measured_directly(e2n, dim, Strategy::Atomics,
+                                                  op2::Layout::AoS)));
+  // The key is the edited content's: equal to a fresh copy edited the
+  // same way.
+  auto copy = apps::mgcfd::build_rotor_mesh(10, 8, 6, 3);
+  op2::Map& copy_e2n = *copy.levels.front().e2n;
+  std::swap(copy_e2n.at(0, 0), copy_e2n.at(0, 1));
+  EXPECT_EQ(op2::map_content_hash(copy_e2n), op2::map_content_hash(e2n));
 }
 
 TEST(LocalityGatherCache, StatsBitsMatchTheUncachedSimulation) {

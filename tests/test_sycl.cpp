@@ -5,11 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "runtime/thread_pool.hpp"
 #include "sycl/sycl.hpp"
 
 TEST(Range, SizeAndIndexing) {
@@ -201,6 +204,84 @@ TEST(Reduction, NdRangeSum) {
                  sycl::reduction(&sum, sycl::plus<double>{}),
                  [=](sycl::nd_item<1>, auto& r) { r += 1.0; });
   EXPECT_DOUBLE_EQ(sum, 512.0);
+}
+
+TEST(Queue, NdRangeBarrierInSomeGroupsOnly) {
+  // Barriers are uniform within each group but not across the launch:
+  // every third group reverses its slice through local memory, the
+  // others copy theirs straight through with no barrier.
+  sycl::queue q;
+  const std::size_t n = 48 * 16, wg = 16;
+  std::vector<int> in(n), out(n, -1);
+  std::iota(in.begin(), in.end(), 0);
+  const int* src = in.data();
+  int* dst = out.data();
+  sycl::local_accessor<int, 1> tile{sycl::range<1>(wg)};
+  sycl::launch_log::instance().clear();
+  sycl::launch_log::instance().set_enabled(true);
+  q.parallel_for("some_barriers",
+                 sycl::nd_range<1>(sycl::range<1>(n), sycl::range<1>(wg)),
+                 [=](sycl::nd_item<1> it) {
+                   const std::size_t g = it.get_global_id(0);
+                   const std::size_t l = it.get_local_id(0);
+                   if (it.get_group(0) % 3 != 0) {
+                     dst[g] = src[g];
+                     return;
+                   }
+                   tile[l] = src[g];
+                   it.barrier();
+                   dst[g] = tile[wg - 1 - l];
+                 });
+  sycl::launch_log::instance().set_enabled(false);
+  const auto records = sycl::launch_log::instance().snapshot();
+  sycl::launch_log::instance().clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t grp = i / wg, l = i % wg;
+    const std::size_t from = grp % 3 != 0 ? i : grp * wg + wg - 1 - l;
+    ASSERT_EQ(out[i], static_cast<int>(from)) << "item " << i;
+  }
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].used_barrier);
+}
+
+TEST(Reduction, NdRangeBitIdenticalAcrossSchedulesAndGrains) {
+  // Terms of very different magnitudes, so any change in summation
+  // order changes the bits. Each group adds its items in local linear
+  // order and the group partials fold in group order: the reference
+  // below, whatever the schedule, grain or pool size.
+  const std::size_t ny = 24, nx = 40, ly = 4, lx = 8;
+  std::vector<double> v(ny * nx);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = (i % 7 == 0 ? 1e12 : 1.0) / static_cast<double>(i + 3);
+  double ref = 0.5;
+  for (std::size_t gy = 0; gy < ny / ly; ++gy)
+    for (std::size_t gx = 0; gx < nx / lx; ++gx) {
+      double part = 0.0;
+      for (std::size_t y = 0; y < ly; ++y)
+        for (std::size_t x = 0; x < lx; ++x)
+          part += v[(gy * ly + y) * nx + gx * lx + x];
+      ref += part;
+    }
+  const double* p = v.data();
+  sycl::queue q;
+  for (auto sched : {syclport::rt::Schedule::Static,
+                     syclport::rt::Schedule::Dynamic,
+                     syclport::rt::Schedule::Steal})
+    for (std::optional<std::size_t> grain :
+         {std::optional<std::size_t>{}, std::optional<std::size_t>{1},
+          std::optional<std::size_t>{3}, std::optional<std::size_t>{7}}) {
+      const syclport::rt::ScopedLaunchParams params(sched, grain);
+      double sum = 0.5;
+      q.parallel_for(
+          sycl::nd_range<2>(sycl::range<2>(ny, nx), sycl::range<2>(ly, lx)),
+          sycl::reduction(&sum, sycl::plus<double>{}),
+          [=](sycl::nd_item<2> it, auto& r) {
+            r += p[it.get_global_id(0) * nx + it.get_global_id(1)];
+          });
+      EXPECT_EQ(std::memcmp(&sum, &ref, sizeof sum), 0)
+          << syclport::rt::to_string(sched) << " grain "
+          << grain.value_or(0) << ": " << sum << " vs " << ref;
+    }
 }
 
 TEST(Reduction, TwoDimensionalIterationSpace) {

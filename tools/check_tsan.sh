@@ -4,10 +4,14 @@
 #
 # The subset is defined by the `tsan` test preset in CMakePresets.json:
 # it covers the out-of-order queue scheduler, the thread pool, the
-# thread-safe launch log, minimpi halo exchange and the distributed
-# overlap layers, and excludes fiber-based nd_range tests (TSan cannot
-# track swapcontext; those run under the `asan` preset instead - see
-# docs/executor.md).
+# thread-safe launch log, minimpi halo exchange, the distributed
+# overlap layers and the Apps/Determinism matrix, including the OPS
+# SyclNd cases (a barrier-free nd_range work-group runs on its worker's
+# own stack, with no fiber). It excludes every test whose name contains
+# "NdRange" - the miniSYCL barrier unit tests and the OP2 hierarchical
+# Apps/Determinism cases: their barrier groups switch stacks with
+# swapcontext, which TSan cannot follow, and they run under the `asan`
+# preset instead - see docs/executor.md.
 #
 # Usage: tools/check_tsan.sh  (from the repository root)
 
