@@ -29,7 +29,7 @@
 #include "common/figures.hpp"
 #include "core/report.hpp"
 #include "hwmodel/memory_model.hpp"
-#include "hwmodel/tuning_priors.hpp"
+#include "hwmodel/platform.hpp"
 #include "sycl/launch_log.hpp"
 
 using namespace syclport;

@@ -1,6 +1,9 @@
 #include "hwmodel/platform.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <thread>
 
 namespace syclport::hw {
 
@@ -169,6 +172,22 @@ const Platform& platform(PlatformId id) {
 
 std::array<const Platform*, 6> all_platforms() {
   return {&kA100, &kMI250X, &kMax1100, &kXeon, &kGenoaX, &kAltra};
+}
+
+const Platform& nearest_host_platform() {
+  const auto host_cores =
+      static_cast<double>(std::max(1u, std::thread::hardware_concurrency()));
+  const Platform* best = &platform(kCpuPlatforms[0]);
+  double best_d = 1e30;
+  for (const PlatformId id : kCpuPlatforms) {
+    const Platform& p = platform(id);
+    const double d = std::abs(std::log2(host_cores / p.cores));
+    if (d < best_d) {
+      best_d = d;
+      best = &p;
+    }
+  }
+  return *best;
 }
 
 }  // namespace syclport::hw

@@ -69,4 +69,8 @@ struct Platform {
 /// All six platforms, study order (GPUs then CPUs).
 [[nodiscard]] std::array<const Platform*, 6> all_platforms();
 
+/// The calibrated CPU platform whose core count is nearest the host's
+/// (the runtime executes on the host CPU).
+[[nodiscard]] const Platform& nearest_host_platform();
+
 }  // namespace syclport::hw

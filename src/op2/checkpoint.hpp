@@ -9,8 +9,8 @@
 /// renumbering the set accumulated) in AoS component order, whatever
 /// the dats' current physical layout. A checkpoint taken under one
 /// (ordering, layout) therefore restores bit-identically into a mesh
-/// running under any other - renumbering and the autotuner's relayout
-/// decisions never leak into saved state (docs/unstructured.md).
+/// running under any other - renumbering and relayout decisions never
+/// leak into saved state (docs/unstructured.md).
 /// Regions are keyed by dat name; format and validation live in
 /// rt::fault::Snapshot.
 

@@ -45,10 +45,6 @@ struct Options {
   /// process default (SYCLPORT_LAYOUT or AoS). Non-AoS dats route
   /// their loops through the staged lowering.
   std::optional<Layout> layout;
-  /// Online autotuner override for this context's loops: true/false
-  /// forces tuning on/off regardless of SYCLPORT_TUNE; nullopt defers
-  /// to the env mode. See docs/tuning.md.
-  std::optional<bool> tune;
 };
 
 /// SYCLPORT_INDIRECT overrides the app's default race-resolution

@@ -10,8 +10,8 @@
 ///   - AoSoA: block-of-W elements per component - SoA lanes inside an
 ///            AoS super-element, padded to a multiple of W (the
 ///            compromise layout of Lawson-style parametrized kernels).
-/// The autotuner races this axis per launch site (`layout=` in the
-/// tune-cache wire format); SYCLPORT_LAYOUT sets the process default.
+/// SYCLPORT_LAYOUT sets the process default; op2::Options::layout
+/// overrides it for the dats an app creates.
 
 #include <cstddef>
 #include <cstdint>

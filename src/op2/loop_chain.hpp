@@ -18,15 +18,13 @@
 ///    full par_loop machinery with their colouring strategy);
 ///  - a set change between consecutive loops.
 ///
-/// The fuse/no-fuse decision is autotuned per chain composition (kFuse
-/// axis, same "(chain:...)" site naming as the structured chain); with
-/// tuning off the chain fuses by default. Per-chain eliminated bytes are
-/// reported through sycl::launch_log, like the structured path.
+/// Per-chain eliminated bytes are reported through sycl::launch_log
+/// under the chain-composition name ("(chain:...)", as the structured
+/// chain names its chains).
 
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -91,10 +89,8 @@ class LoopChain {
   [[nodiscard]] std::size_t size() const { return queued_.size(); }
 
   /// Run everything captured, then clear the queue - also on a kernel
-  /// throw mid-chain. fuse_opt pins the fuse decision; nullopt lets the
-  /// autotuner race fuse on/off for this chain site (fused by default
-  /// when tuning is off).
-  void execute(std::optional<bool> fuse_opt = std::nullopt) {
+  /// throw mid-chain.
+  void execute() {
     if (queued_.empty()) return;
     struct ClearGuard {
       std::vector<Queued>* q;
@@ -105,7 +101,7 @@ class LoopChain {
     std::vector<ops::dataflow::Node> nodes;
     nodes.reserve(queued_.size());
     for (const Queued& q : queued_) nodes.push_back(q.node);
-    const char* site_name = ops::dataflow::intern_chain_name(nodes);
+    const char* chain_name = ops::dataflow::intern_chain_name(nodes);
 
     // Segment boundaries: element-locality ends at any unfusable loop
     // or set change.
@@ -116,37 +112,15 @@ class LoopChain {
         cuts.push_back(j);
     cuts.push_back(queued_.size());
 
-    bool fuse = fuse_opt.value_or(true);
-    std::optional<rt::autotune::TunedLaunchParams> tuned;
-    if (!fuse_opt) {
-      hw::seed_autotuner_priors();
-      rt::autotune::ScopedTune tune_override(ctx_->opt.tune);
-      if (rt::autotune::current_phase() == rt::autotune::Phase::None &&
-          rt::autotune::Autotuner::instance().enabled()) {
-        rt::autotune::Site site;
-        site.name = site_name;
-        site.dims = 1;
-        std::size_t max_n = 1;
-        for (const Queued& q : queued_)
-          max_n = std::max(max_n, q.set->size());
-        site.global = {max_n, 1, 1};
-        site.axes = rt::autotune::kFuse;
-        tuned.emplace(site);  // scope spans the whole chain execution
-        if (tuned->phase() != rt::autotune::Phase::None &&
-            tuned->config().fuse)
-          fuse = *tuned->config().fuse;
-      }
-    }
-
     const bool live = ctx_->executing();
     for (std::size_t k = 0; k + 1 < cuts.size(); ++k)
-      run_segment(nodes, cuts[k], cuts[k + 1], site_name, fuse, live);
+      run_segment(nodes, cuts[k], cuts[k + 1], chain_name, live);
     last_.loops = nodes.size();
     last_.segments = cuts.size() - 1;
 
     if (::sycl::launch_log::instance().enabled()) {
       ::sycl::fusion_record rec;
-      rec.chain = site_name;
+      rec.chain = chain_name;
       rec.loops = last_.loops;
       rec.segments = last_.segments;
       rec.tile = 0;
@@ -219,13 +193,13 @@ class LoopChain {
   }
 
   void run_segment(const std::vector<ops::dataflow::Node>& nodes,
-                   std::size_t b, std::size_t e, const char* site_name,
-                   bool fuse, bool live) {
+                   std::size_t b, std::size_t e, const char* chain_name,
+                   bool live) {
     const double fusable_bytes =
         ops::dataflow::internal_edge_bytes(nodes, b, e, 1);
     last_.fusable_bytes += fusable_bytes;
 
-    if (!fuse || e - b < 2 || !queued_[b].fusable) {
+    if (e - b < 2 || !queued_[b].fusable) {
       if (live)
         for (std::size_t i = b; i < e; ++i) queued_[i].run_full();
       return;
@@ -256,7 +230,7 @@ class LoopChain {
             });
         break;
       case Exec::Sycl:
-        ctx_->queue.parallel_for(site_name, ::sycl::range<1>(n),
+        ctx_->queue.parallel_for(chain_name, ::sycl::range<1>(n),
                                  [&](::sycl::item<1> it) {
                                    invoke_all(it.get_linear_id());
                                  });

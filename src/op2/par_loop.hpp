@@ -23,12 +23,11 @@
 #include <vector>
 
 #include "hwmodel/loop_profile.hpp"
-#include "hwmodel/tuning_priors.hpp"
+#include "hwmodel/platform.hpp"
 #include "op2/arg.hpp"
 #include "op2/context.hpp"
 #include "op2/renumber.hpp"
 #include "op2/stage.hpp"
-#include "runtime/autotune/autotune.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sycl/launch_log.hpp"
 
@@ -328,36 +327,6 @@ ArgInfo arg_info(const GblArg<T>& a) {
   return i;
 }
 
-// --- tuner-driven relayout of the gathered dats ------------------------------
-
-template <typename T>
-void relayout_indirect(const DirectArg<T>&, Layout) {}
-template <typename T>
-void relayout_indirect(const IndirectArg<T>& a, Layout l) {
-  a.dat->set_layout(l);
-}
-template <typename T>
-void relayout_indirect(const IncArg<T>& a, Layout l) {
-  a.dat->set_layout(l);
-}
-template <typename T>
-void relayout_indirect(const GblArg<T>&, Layout) {}
-
-template <typename T>
-[[nodiscard]] bool arg_non_aos(const DirectArg<T>& a) {
-  return a.dat->layout() != Layout::AoS;
-}
-template <typename T>
-[[nodiscard]] bool arg_non_aos(const IndirectArg<T>& a) {
-  return a.dat->layout() != Layout::AoS;
-}
-template <typename T>
-[[nodiscard]] bool arg_non_aos(const IncArg<T>& a) {
-  return a.dat->layout() != Layout::AoS;
-}
-template <typename T>
-[[nodiscard]] bool arg_non_aos(const GblArg<T>&) { return false; }
-
 template <typename T>
 void note_gather_layout(const DirectArg<T>&, Layout&) {}
 template <typename T>
@@ -400,13 +369,13 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   // stage when the context (or SYCLPORT_INDIRECT) asks for it.
   bool non_aos = false;
   for (const auto& i : infos) non_aos |= i.layout != Layout::AoS;
-  const Strategy ctx_strat =
+  const Strategy strat =
       conflict != nullptr && non_aos ? Strategy::Staged : ctx.opt.strategy;
-  const bool ctx_staged =
-      non_aos || (conflict != nullptr && ctx_strat == Strategy::Staged);
+  const bool staged =
+      non_aos || (conflict != nullptr && strat == Strategy::Staged);
 
   const Plan* plan =
-      conflict != nullptr ? &ctx.plan_for(*conflict->map, ctx_strat)
+      conflict != nullptr ? &ctx.plan_for(*conflict->map, strat)
                           : nullptr;
 
   if (ctx.opt.record) {
@@ -453,7 +422,7 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
           lp.working_set += i.map->bytes();
         }
         const GatherStats& gs =
-            ctx.gather_for(*i.map, i.dim, i.elem_bytes, ctx_strat, i.layout);
+            ctx.gather_for(*i.map, i.dim, i.elem_bytes, strat, i.layout);
         max_line_factor = std::max(max_line_factor, gs.line_factor);
         for (std::size_t c = 0; c < gs.factor_at.size(); ++c)
           lp.gather_factor_at[c] =
@@ -461,7 +430,7 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
       }
     }
     lp.gather_line_factor = max_line_factor;
-    if (ctx_staged) {
+    if (staged) {
       // Scratch traffic of the staging: every staged operand (gather
       // buffer, INC arena, non-AoS direct buffer) is written once and
       // read back once per element.
@@ -478,8 +447,8 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
       lp.cls = hw::KernelClass::EdgeFlux;
       // Staged: one gather/compute pass plus one ordered scatter pass,
       // and no atomic increments - the races resolve in scratch.
-      lp.launches = ctx_strat == Strategy::Staged ? 2 : plan->launches();
-      if (ctx_strat == Strategy::Atomics) {
+      lp.launches = strat == Strategy::Staged ? 2 : plan->launches();
+      if (strat == Strategy::Atomics) {
         std::size_t incs = 0;
         for (const auto& i : infos)
           if (i.acc == Acc::INC)
@@ -496,47 +465,6 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
     ctx.profiles.push_back(std::move(lp));
   }
   if (!ctx.executing()) return;
-
-  // Tuning scope for the whole loop (all colour sweeps share it): the
-  // autotuner serves schedule x grain for this kernel's site unless
-  // tuning is off. The handler-level scope inside Exec::Sycl sweeps
-  // defers to this one.
-  hw::seed_autotuner_priors();
-  rt::autotune::ScopedTune tune_override(ctx.opt.tune);
-  rt::autotune::Site site;
-  site.name = meta.name;
-  site.global = {n, 1, 1};
-  // Indirect-increment loops additionally race the race-resolution
-  // strategy jointly with the gathered dats' physical layout - unless
-  // the user pinned either knob through the environment.
-  const bool pinned = strategy_from_env().has_value() ||
-                      rt::env::get("SYCLPORT_LAYOUT").has_value();
-  site.axes = rt::autotune::kScheduleGrain |
-              (conflict != nullptr && !pinned
-                   ? rt::autotune::kIndirect | rt::autotune::kLayout
-                   : 0u);
-  rt::autotune::TunedLaunchParams sched_scope(site);
-
-  // Apply the tuner's joint strategy x layout decision for this launch,
-  // then re-derive the lowering: any non-AoS operand (tuner-chosen or
-  // app-chosen) forces the staged path.
-  Strategy strat = ctx_strat;
-  if (sched_scope.phase() != rt::autotune::Phase::None) {
-    const auto& cfg = sched_scope.config();
-    if (conflict != nullptr) {
-      if (cfg.indirect && *cfg.indirect >= 1 && *cfg.indirect <= 4)
-        strat = static_cast<Strategy>(*cfg.indirect);
-      if (cfg.layout && *cfg.layout >= 0 && *cfg.layout <= 2)
-        (detail::relayout_indirect(args, static_cast<Layout>(*cfg.layout)),
-         ...);
-    }
-  }
-  const bool non_aos_now = (detail::arg_non_aos(args) || ...);
-  if (conflict != nullptr && non_aos_now) strat = Strategy::Staged;
-  const bool staged =
-      non_aos_now || (conflict != nullptr && strat == Strategy::Staged);
-  if (conflict != nullptr && !staged && strat != ctx_strat)
-    plan = &ctx.plan_for(*conflict->map, strat);
 
   // Per-loop locality decision record: strategy/layout/ordering plus
   // the measured cold gather line factor next to the model's

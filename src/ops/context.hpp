@@ -43,11 +43,6 @@ struct Options {
   /// Minimum iterations per executor chunk; nullopt = process default
   /// (SYCLPORT_GRAIN env, default 1).
   std::optional<std::size_t> grain;
-  /// Online autotuner override for this context's loops: true/false
-  /// forces tuning on/off regardless of SYCLPORT_TUNE; nullopt defers
-  /// to the env mode. Explicit `schedule`/`grain` above always win over
-  /// the tuner (they pin that axis). See docs/tuning.md.
-  std::optional<bool> tune;
 };
 
 class Context {

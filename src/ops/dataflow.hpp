@@ -167,13 +167,12 @@ struct Node {
   return sum;
 }
 
-/// Stable per-composition autotune site name for a captured chain:
-/// "(chain:XXXXXXXX)" where XXXXXXXX is a CRC over the queued loops'
-/// kernel names and iteration boxes. Interned (process lifetime) so the
-/// pointer satisfies rt::autotune::Site's `const char* name`. Two
-/// different compositions no longer collide under one "(loop_chain)"
-/// entry, and the same composition hashes identically across runs, so
-/// the persistent cache still round-trips.
+/// Stable per-composition name for a captured chain, the key of its
+/// fusion record: "(chain:XXXXXXXX)" where XXXXXXXX is a CRC over the
+/// queued loops' kernel names and iteration boxes. Interned (process
+/// lifetime) so the pointer can serve as a launch's `const char*`
+/// kernel name. Two different compositions never share a name, and the
+/// same composition hashes identically across runs.
 [[nodiscard]] inline const char* intern_chain_name(
     const std::vector<Node>& nodes) {
   const std::uint32_t n32 = static_cast<std::uint32_t>(nodes.size());

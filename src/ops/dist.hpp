@@ -21,13 +21,10 @@
 #include <vector>
 
 #include "core/reducer.hpp"
-#include "hwmodel/tuning_priors.hpp"
 #include "minimpi/cart.hpp"
 #include "minimpi/comm.hpp"
 #include "minimpi/halo.hpp"
 #include "ops/arg.hpp"
-#include "runtime/autotune/autotune.hpp"
-#include "runtime/env.hpp"
 #include "sycl/queue.hpp"
 
 namespace syclport::ops::dist {
@@ -375,31 +372,9 @@ void par_loop_overlap(DistContext& ctx, K kernel, Args... args) {
     });
   };
 
-  // Overlap strategy: SYCLPORT_OVERLAP pins it; otherwise, with tuning
-  // enabled, the autotuner races queue-submission against the inline
-  // ordering for this loop's site (kOverlap axis, every rank reporting
-  // into the same race) and locks in the faster one. The scope spans
-  // the overlapped region so the measured time covers exactly what the
-  // strategy changes.
-  bool use_queue = sycl::detail::Scheduler::concurrency_available();
-  std::optional<syclport::rt::autotune::TunedLaunchParams> tuned;
-  {
-    namespace at = syclport::rt::autotune;
-    const auto pin = syclport::rt::env::get("SYCLPORT_OVERLAP");
-    const bool pinned = pin && (*pin == "queue" || *pin == "inline");
-    syclport::hw::seed_autotuner_priors();
-    if (!pinned && at::current_phase() == at::Phase::None &&
-        at::Autotuner::instance().enabled()) {
-      at::Site site;
-      site.name = "(dist_overlap)";
-      site.dims = is.dims;
-      site.global = is.local;
-      site.axes = at::kOverlap;
-      tuned.emplace(site);
-      if (tuned->phase() != at::Phase::None && tuned->config().overlap_queue)
-        use_queue = *tuned->config().overlap_queue;
-    }
-  }
+  // Overlap strategy: queue submission when the scheduler can run
+  // commands concurrently (SYCLPORT_OVERLAP overrides the detection).
+  const bool use_queue = sycl::detail::Scheduler::concurrency_available();
 
   if (use_queue) {
     // 2. Interior sweep as an asynchronous command. Footprints are

@@ -5,21 +5,17 @@
 /// flushes the captured dataflow as fused sweeps (docs/fusion.md).
 ///
 /// The SYCLPORT_FUSION knob selects the policy:
-///   auto (default)  capture; the autotuner races fuse on/off per chain
-///                   site (kFuse axis), hwmodel decides when tuning is
-///                   off;
-///   on              capture and pin fuse=on (tile depth still tuned);
-///   off             bypass capture entirely - loops run eagerly in
-///                   program order, the bit-exact reference schedule.
+///   on (default)  capture and fuse; hwmodel picks the tile depth per
+///                 segment;
+///   off           bypass capture entirely - loops run eagerly in
+///                 program order, the bit-exact reference schedule.
 ///
 /// A flush() is required before any host-side read of a written dat,
 /// pointer swap between captured dats, or checksum - the apps flush
 /// once per time step (the natural chain boundary: the step's trailing
 /// swap/reduction consumes everything).
 
-#include <cstdint>
 #include <exception>
-#include <optional>
 #include <string_view>
 
 #include "ops/loop_chain.hpp"
@@ -27,28 +23,21 @@
 
 namespace syclport::ops {
 
-enum class FusionMode : std::uint8_t { Auto, On, Off };
-
-/// Parse SYCLPORT_FUSION=on|off|auto (default auto; malformed values
-/// warn once and fall back to auto, like every SYCLPORT_* knob).
-[[nodiscard]] inline FusionMode fusion_mode() {
-  static constexpr std::string_view kAllowed[] = {"auto", "on", "off"};
-  switch (rt::env::get_choice("SYCLPORT_FUSION", kAllowed).value_or(0)) {
-    case 1: return FusionMode::On;
-    case 2: return FusionMode::Off;
-    default: return FusionMode::Auto;
-  }
+/// Parse SYCLPORT_FUSION=on|off: false only for `off` (default on;
+/// malformed values warn once and fall back to on, like every
+/// SYCLPORT_* knob).
+[[nodiscard]] inline bool fusion_enabled() {
+  static constexpr std::string_view kAllowed[] = {"on", "off"};
+  return rt::env::get_choice("SYCLPORT_FUSION", kAllowed).value_or(0) == 0;
 }
 
 class FusedScope {
  public:
   FusedScope(Context& ctx, Block& block)
-      : ctx_(&ctx), block_(&block), chain_(ctx, block) {
-    const FusionMode m = fusion_mode();
-    capture_ = m != FusionMode::Off;
-    force_fuse_ = m == FusionMode::On ? std::optional<bool>(true)
-                                      : std::nullopt;
-  }
+      : ctx_(&ctx),
+        block_(&block),
+        chain_(ctx, block),
+        capture_(fusion_enabled()) {}
   FusedScope(const FusedScope&) = delete;
   FusedScope& operator=(const FusedScope&) = delete;
   ~FusedScope() {
@@ -75,7 +64,7 @@ class FusedScope {
   /// Execute everything captured so far as fused segments.
   void flush() {
     if (!capture_ || chain_.size() == 0) return;
-    chain_.execute(std::nullopt, force_fuse_);
+    chain_.execute();
     fusable_bytes_ += chain_.last_fusable_bytes();
     eliminated_bytes_ += chain_.last_eliminated_bytes();
   }
@@ -90,7 +79,6 @@ class FusedScope {
   Block* block_;
   LoopChain chain_;
   bool capture_ = false;
-  std::optional<bool> force_fuse_;
   double fusable_bytes_ = 0.0;
   double eliminated_bytes_ = 0.0;
 };

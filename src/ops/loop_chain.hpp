@@ -25,11 +25,9 @@
 /// Pointwise RW only; a nonzero-radius RW read isolates its loop into
 /// an unfused singleton segment (see dataflow.hpp for why).
 ///
-/// The fuse/no-fuse decision and the tile depth are autotuned per
-/// chain-composition site (kFuse | kTile axes, hwmodel priors); with
-/// tuning off, hwmodel picks the deepest LLC-resident tile per segment
-/// (memory_model::chain_tile_rows). tile == 0 or fuse == false runs the
-/// unfused reference schedule, which is bit-exact with the fused one by
+/// hwmodel picks the deepest LLC-resident tile per segment
+/// (memory_model::chain_tile_rows). tile == 0 runs the unfused
+/// reference schedule, which is bit-exact with the fused one by
 /// construction. Per-chain eliminated bytes are reported through
 /// sycl::launch_log (fusion_record) and surfaced in the study report.
 
@@ -42,7 +40,7 @@
 #include <vector>
 
 #include "hwmodel/memory_model.hpp"
-#include "hwmodel/tuning_priors.hpp"
+#include "hwmodel/platform.hpp"
 #include "ops/dataflow.hpp"
 #include "ops/par_loop.hpp"
 #include "sycl/launch_log.hpp"
@@ -106,13 +104,9 @@ class LoopChain {
   /// exception.
   ///
   /// tile_opt: explicit slow-dimension tile depth; 0 forces the unfused
-  /// reference schedule. nullopt = decide: the autotuner picks fuse and
-  /// tile for this chain-composition site when tuning is enabled,
-  /// otherwise hwmodel picks the deepest cache-resident tile per
-  /// segment. fuse_opt pins the fuse decision (FusedScope passes true
-  /// under SYCLPORT_FUSION=on, leaving only the tile depth to tune).
-  void execute(std::optional<std::size_t> tile_opt = std::nullopt,
-               std::optional<bool> fuse_opt = std::nullopt) {
+  /// reference schedule. nullopt = hwmodel picks the deepest
+  /// cache-resident tile per segment.
+  void execute(std::optional<std::size_t> tile_opt = std::nullopt) {
     if (queued_.empty()) return;
     struct ClearGuard {
       std::vector<Queued>* q;
@@ -126,48 +120,18 @@ class LoopChain {
     nodes.reserve(queued_.size());
     for (const Queued& q : queued_) nodes.push_back(q.node);
     const std::vector<std::size_t> cuts = dataflow::partition(nodes, dims);
-    const char* site_name = dataflow::intern_chain_name(nodes);
+    const char* chain_name = dataflow::intern_chain_name(nodes);
     const hw::Platform& host = hw::nearest_host_platform();
-
-    bool fuse = fuse_opt.value_or(true);
-    std::optional<std::size_t> forced_tile = tile_opt;
-    std::optional<rt::autotune::TunedLaunchParams> tuned;
-    if (!tile_opt) {
-      hw::seed_autotuner_priors();
-      rt::autotune::ScopedTune tune_override(ctx_->opt.tune);
-      if (rt::autotune::current_phase() == rt::autotune::Phase::None &&
-          rt::autotune::Autotuner::instance().enabled()) {
-        rt::autotune::Site site;
-        site.name = site_name;
-        site.dims = dims;
-        for (int d = 0; d < site.dims; ++d)
-          site.global[static_cast<std::size_t>(d)] = block_->size(d);
-        // Fuse + tile are the chain's own axes; first-touch rides along
-        // because the chain scope is the one tuned region that
-        // allocates inside itself (double-buffer shadows, lazily
-        // materialized buffers). A pinned fuse decision (fuse_opt)
-        // drops the kFuse axis and tunes the tile depth alone.
-        site.axes = rt::autotune::kTile | rt::autotune::kFirstTouch |
-                    (fuse_opt ? 0u : rt::autotune::kFuse);
-        tuned.emplace(site);  // scope spans the whole chain execution
-        if (tuned->phase() != rt::autotune::Phase::None) {
-          const rt::autotune::Config& cfg = tuned->config();
-          if (cfg.fuse) fuse = *cfg.fuse;
-          if (cfg.tile) forced_tile = *cfg.tile;
-        }
-      }
-    }
 
     const bool live = ctx_->executing();
     for (std::size_t k = 0; k + 1 < cuts.size(); ++k)
-      run_segment(nodes, cuts[k], cuts[k + 1], extent, fuse, forced_tile,
-                  host, live);
+      run_segment(nodes, cuts[k], cuts[k + 1], extent, tile_opt, host, live);
     last_.loops = nodes.size();
     last_.segments = cuts.size() - 1;
 
     if (sycl::launch_log::instance().enabled()) {
       sycl::fusion_record rec;
-      rec.chain = site_name;
+      rec.chain = chain_name;
       rec.loops = last_.loops;
       rec.segments = last_.segments;
       rec.tile = last_.tile;
@@ -298,7 +262,7 @@ class LoopChain {
   }
 
   void run_segment(const std::vector<dataflow::Node>& nodes, std::size_t b,
-                   std::size_t e, long extent, bool fuse,
+                   std::size_t e, long extent,
                    std::optional<std::size_t> forced_tile,
                    const hw::Platform& host, bool live) {
     const std::size_t n = e - b;
@@ -341,7 +305,7 @@ class LoopChain {
     // 1D segment closed by a reduction runs untiled.
     const bool cuts_blocks = dims == 1 && nodes[e - 1].reduction;
     std::size_t tile = 0;
-    if (fuse && !cuts_blocks) {
+    if (!cuts_blocks) {
       if (forced_tile)
         tile = *forced_tile;
       else if (n > 1 && fusable > 0.0)

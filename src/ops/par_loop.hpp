@@ -23,12 +23,10 @@
 #include <tuple>
 
 #include "hwmodel/loop_profile.hpp"
-#include "hwmodel/tuning_priors.hpp"
 #include "ops/arg.hpp"
 #include "ops/block.hpp"
 #include "ops/context.hpp"
-#include "runtime/autotune/autotune.hpp"
-#include "runtime/autotune/row_walk.hpp"
+#include "runtime/row_walk.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace syclport::ops {
@@ -249,43 +247,11 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
   }
   if (!ctx.executing()) return;
 
-  // Apply this loop's launch parameters for its duration. Explicit
-  // Options::schedule/grain always win; otherwise, when tuning is on
-  // (SYCLPORT_TUNE or Options::tune), the autotuner serves the
-  // schedule x grain - and for SyclNd also the work-group shape - for
-  // this kernel's site, measuring the loop's wall time as feedback.
-  // Both the Threads backend (direct pool launches) and the SYCL
-  // backends (handler-issued launches) read the params at submit time;
-  // the handler's own per-launch tuning scope defers to this one.
-  hw::seed_autotuner_priors();
-  rt::autotune::ScopedTune tune_override(ctx.opt.tune);
-  rt::autotune::Site site;
-  site.name = meta.name;
-  site.dims = dims;
-  site.global = ext;
-  // Flat sweeps (pool and SYCL flat lowerings) of independent-point
-  // multi-dimensional loops additionally race the cache-blocked
-  // traversal. The Serial backend stays the pure reference loop, and
-  // nd_range keeps its shape contract.
-  // Reduction loops launch over their block grid on every backend, so
-  // they have no work-group shape to tune.
+  // Apply this loop's Options::schedule/grain for its duration. Both
+  // the Threads backend (direct pool launches) and the SYCL backends
+  // (handler-issued launches) read the params at submit time.
+  rt::ScopedLaunchParams sched_scope(ctx.opt.schedule, ctx.opt.grain);
   constexpr bool has_red = (detail::is_red_arg<Args>::value || ...);
-  site.nd = ctx.opt.backend == Backend::SyclNd && !has_red;
-  const bool flat_sweep = ctx.opt.backend == Backend::Threads ||
-                          ctx.opt.backend == Backend::MPI ||
-                          ctx.opt.backend == Backend::MPIThreads ||
-                          ctx.opt.backend == Backend::SyclFlat;
-  site.axes = rt::autotune::kScheduleGrain |
-              (site.nd ? rt::autotune::kWorkGroup : 0u) |
-              (flat_sweep && !has_red && dims >= 2 ? rt::autotune::kCacheBlock
-                                                   : 0u);
-  site.max_wg = ctx.queue.get_device().max_work_group_size();
-  rt::autotune::TunedLaunchParams sched_scope(site, ctx.opt.schedule,
-                                              ctx.opt.grain);
-
-  const std::size_t cb = sched_scope.phase() != rt::autotune::Phase::None
-                             ? sched_scope.config().cache_block.value_or(0)
-                             : 0;
 
   auto binders = std::make_tuple(detail::make_binder(args, r)...);
   // The row walker, the only way the kernel is called. `bound` is the
@@ -313,7 +279,7 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
   };
   // Any linear span [b, e), split at row ends; ascending order.
   auto walk = [&](auto& bound, std::size_t b, std::size_t e) {
-    rt::autotune::for_each_row_segment(
+    rt::for_each_row_segment(
         b, e, fast, [&](std::size_t row, std::size_t jb, std::size_t je) {
           run_row(bound, row, jb, je);
         });
@@ -366,18 +332,10 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
       case Backend::MPIThreads: {
         // MPI backends are semantically identical sweeps on shared memory;
         // their decomposition cost is carried by the recorded halo profile.
-        if (dims >= 2 && cb > 0 && cb < fast) {
-          rt::autotune::blocked_parallel_for(
-              total / fast, fast, cb,
-              [&](std::size_t row, std::size_t jb, std::size_t je) {
-                run_row(binders, row, jb, je);
-              });
-        } else {
-          rt::ThreadPool::global().parallel_for(
-              total, [&](std::size_t b, std::size_t e) {
-                walk(binders, b, e);
-              });
-        }
+        rt::ThreadPool::global().parallel_for(
+            total, [&](std::size_t b, std::size_t e) {
+              walk(binders, b, e);
+            });
         break;
       }
       case Backend::SyclFlat: {
@@ -401,17 +359,12 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
         break;
       }
       case Backend::SyclNd: {
-        // Pad the global range to a multiple of the tuned local shape and
+        // Pad the global range to a multiple of the local shape and
         // mask the overhang inside the kernel, as generated OPS SYCL does.
         // nd_local is stored slow..fast for 3D; align it with this loop's
         // dimensionality (a 2D loop uses the (mid, fast) entries, a 1D
-        // loop the fast entry only). When the autotuner serves this loop
-        // its decided shape replaces the hand-tuned Options::nd_local.
-        const std::array<std::size_t, 3>& shape =
-            sched_scope.phase() != rt::autotune::Phase::None &&
-                    sched_scope.config().local
-                ? *sched_scope.config().local
-                : ctx.opt.nd_local;
+        // loop the fast entry only).
+        const std::array<std::size_t, 3>& shape = ctx.opt.nd_local;
         std::array<std::size_t, 3> local{1, 1, 1};
         for (int d = 0; d < dims; ++d)
           local[static_cast<std::size_t>(d)] = std::max<std::size_t>(

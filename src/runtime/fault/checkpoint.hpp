@@ -25,9 +25,8 @@
 namespace syclport::rt::fault {
 
 /// A temp-file name next to `path` that no concurrent writer of the
-/// same `path` shares: `path + ".tmp.<pid>.<seq>"`. Every atomic-rename
-/// publisher in the runtime (checkpoints, the tuning cache) stages
-/// through this, so two processes - or two threads - rewriting the
+/// same `path` shares: `path + ".tmp.<pid>.<seq>"`. Checkpoint writes
+/// stage through this, so two processes - or two threads - rewriting the
 /// same file never interleave bytes in a shared side file; each rename
 /// publishes one complete image and the last rename wins.
 [[nodiscard]] std::string unique_temp_path(const std::string& path);

@@ -20,7 +20,6 @@
 ///   comm.dup      halo message delivered twice
 ///   comm.corrupt  halo payload bit-flipped in transit
 ///   comm.delay    halo message delivered late
-///   cache.corrupt autotune cache bit-flipped on load
 ///
 /// Spec grammar (docs/resilience.md):
 ///   SYCLPORT_FAULT = <seed> ':' <entry> (',' <entry>)*
@@ -64,9 +63,8 @@ enum class Site : std::uint8_t {
   CommDup,
   CommCorrupt,
   CommDelay,
-  CacheCorrupt,
 };
-inline constexpr std::size_t kSiteCount = 11;
+inline constexpr std::size_t kSiteCount = 10;
 
 [[nodiscard]] const char* to_string(Site s) noexcept;
 [[nodiscard]] std::optional<Site> site_from_string(std::string_view name);
@@ -114,7 +112,7 @@ void inject_sleep(std::uint64_t value, std::uint64_t min_us,
 
 /// Record a successful recovery from an injected (or real) fault at
 /// `site` - the pool falling back to a direct allocation, a halo
-/// retransmit, a checkpoint rollback, a cache rejected to retuning.
+/// retransmit, a checkpoint rollback.
 void note_recovered(Site site) noexcept;
 
 /// Cumulative injection/recovery telemetry (relaxed counters).

@@ -11,6 +11,12 @@ thread_local Fiber* t_current_fiber = nullptr;
 /// The innermost work-group running on this thread (null outside one).
 thread_local detail::GroupScope* t_group = nullptr;
 
+/// Thrown by group_barrier() in a fiber item whose group was cancelled,
+/// to unwind the item's stack. Not a std::exception, so kernel code
+/// that catches those does not swallow it; the fiber's trampoline
+/// catches it and ~GroupScope discards it.
+struct GroupCancelled {};
+
 // --- per-thread fiber stack pool -------------------------------------------
 
 /// Only default-size stacks are recycled; odd sizes are one-offs. The cap
@@ -145,6 +151,14 @@ GroupScope::GroupScope(std::size_t n, GroupInvoke invoke, void* task) noexcept
 }
 
 GroupScope::~GroupScope() {
+  phase_ = Phase::Cancel;
+  for (auto& f : fibers_) {
+    if (f->done()) continue;
+    try {
+      f->resume();
+    } catch (...) {  // GroupCancelled, or the item's own error
+    }
+  }
   t_group = outer_;
   t_current_fiber = outer_fiber_;
 }
@@ -152,10 +166,12 @@ GroupScope::~GroupScope() {
 void GroupScope::barrier() {
   switch (phase_) {
     case Phase::Item0:
-      if (t_current_fiber != nullptr)
-        Fiber::yield();  // a fiber item, now level with item 0
-      else
+      if (t_current_fiber == nullptr) {
         round();
+        return;
+      }
+      Fiber::yield();  // a fiber item, now level with item 0
+      if (phase_ == Phase::Cancel) throw GroupCancelled{};
       return;
     case Phase::Tail:
       throw std::logic_error(
@@ -163,6 +179,8 @@ void GroupScope::barrier() {
     case Phase::Drain:
       throw std::logic_error(
           "group_barrier: non-uniform barrier (work-item 0 had returned)");
+    case Phase::Cancel:
+      throw GroupCancelled{};
   }
 }
 

@@ -92,7 +92,11 @@ using GroupInvoke = void (*)(void* task, std::size_t index);
 /// The work-group running on this thread, from item 0's start to the
 /// group's end. It is the thread's current group for that time, and
 /// the thread's outer group and fiber are restored when it ends, so
-/// groups nest inside work-items and unwind cleanly on exceptions.
+/// groups nest inside work-items and unwind cleanly on exceptions: a
+/// group that ends with fiber items still suspended at a barrier (item
+/// 0 or another item threw) resumes each of them once more with the
+/// group cancelled, so its pending group_barrier() throws and the
+/// item's stack unwinds before the fiber is destroyed.
 class GroupScope {
  public:
   GroupScope(std::size_t n, GroupInvoke invoke, void* task) noexcept;
@@ -114,7 +118,7 @@ class GroupScope {
   void barrier();
 
  private:
-  enum class Phase { Item0, Tail, Drain };
+  enum class Phase { Item0, Tail, Drain, Cancel };
 
   struct Item {
     GroupInvoke invoke;

@@ -110,8 +110,6 @@ Config& g_config() {
   return c;
 }
 
-thread_local std::optional<bool> t_first_touch_override;
-
 /// Class index for a poolable rounded size, or nullopt when the block
 /// bypasses the pool entirely.
 std::optional<std::size_t> class_index(std::size_t rounded) noexcept {
@@ -209,18 +207,6 @@ std::size_t size_class_bytes(std::size_t bytes) noexcept {
     return (bytes + unit - 1) / unit * unit;
   }
   return std::bit_ceil(bytes);
-}
-
-std::optional<bool> first_touch_override() noexcept {
-  return t_first_touch_override;
-}
-
-void set_first_touch_override(std::optional<bool> v) noexcept {
-  t_first_touch_override = v;
-}
-
-bool first_touch_active() noexcept {
-  return t_first_touch_override.value_or(g_config().first_touch);
 }
 
 bool stream_stores_active() noexcept { return g_config().stream_stores; }
@@ -321,7 +307,7 @@ void* alloc(std::size_t bytes, Init init) {
       // Pool-reused pages are already committed and placed; re-touching
       // would only scribble on them.
       if (fresh) {
-        if (first_touch_active()) {
+        if (cfg.first_touch) {
           first_touch(p, actual);
         } else {
           touch_pages(static_cast<std::byte*>(p), actual);
@@ -412,7 +398,7 @@ void zero_fill(void* p, std::size_t bytes) {
   Stats& st = g_stats();
   st.bytes_zeroed.fetch_add(bytes, std::memory_order_relaxed);
   st.bytes_first_touched.fetch_add(bytes, std::memory_order_relaxed);
-  if (first_touch_active()) {
+  if (g_config().first_touch) {
     zero_parallel(p, bytes);
   } else {
     std::memset(p, 0, bytes);

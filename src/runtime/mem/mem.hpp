@@ -31,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
 namespace syclport::rt::mem {
 
@@ -120,16 +119,6 @@ struct MemStats {
 
 [[nodiscard]] MemStats stats();
 void reset_stats_for_testing();
-
-/// Thread-local override of Config::first_touch - the autotuner's
-/// first-touch axis applies its decided value through this while a
-/// tuned scope is live. nullopt = follow the config.
-[[nodiscard]] std::optional<bool> first_touch_override() noexcept;
-void set_first_touch_override(std::optional<bool> v) noexcept;
-
-/// Effective first-touch switch: the thread-local override if present,
-/// else the config.
-[[nodiscard]] bool first_touch_active() noexcept;
 
 /// Effective streaming-store switch (config; checked by stream.hpp).
 [[nodiscard]] bool stream_stores_active() noexcept;

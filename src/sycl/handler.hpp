@@ -37,10 +37,9 @@
 
 #include "core/reducer.hpp"
 #include "core/timing.hpp"
-#include "runtime/autotune/autotune.hpp"
-#include "runtime/autotune/row_walk.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/mem/stream.hpp"
+#include "runtime/row_walk.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sycl/access.hpp"
 #include "sycl/detail/local_arena.hpp"
@@ -95,41 +94,7 @@ inline void log_launch(const char* name, int dims,
   rec.host_seconds = secs;
   rec.executor = stats;
   rec.streaming = streaming;
-  // Which autotuner configuration served this launch (the innermost
-  // tuning scope on this thread), and whether it was a search candidate
-  // or the locked-in winner.
-  rec.tune_phase = syclport::rt::autotune::current_phase();
-  if (const auto* cfg = syclport::rt::autotune::current_config())
-    rec.tune_config = cfg->to_string();
-  if (const char* seed = syclport::rt::autotune::current_seed())
-    rec.tune_seed = seed;
   lg.append(std::move(rec));
-}
-
-/// Handler-level tuning site for one exec_* body: schedule x grain,
-/// plus the cache-block axis where the traversal may be reordered
-/// (`extra`). The shape of an nd_range launch is the caller's contract,
-/// so nd sites never add axes here. No-ops when an outer DSL scope
-/// (ops/op2 par_loop, LoopChain) already owns tuning for this launch.
-[[nodiscard]] inline syclport::rt::autotune::Site exec_site(
-    const char* name, int dims, std::array<std::size_t, 3> global, bool nd,
-    unsigned extra = 0) {
-  syclport::rt::autotune::Site s;
-  s.name = name;
-  s.dims = dims;
-  s.global = global;
-  s.nd = nd;
-  s.axes = syclport::rt::autotune::kScheduleGrain | extra;
-  return s;
-}
-
-/// Cache-block decision of the innermost tuning scope on this thread -
-/// the handler's own scope when it owns tuning, or the DSL scope
-/// (ops/op2 par_loop) whose decision covers this launch when it does.
-/// 0 (unblocked) outside any scope.
-[[nodiscard]] inline std::size_t active_cache_block() {
-  const auto* cfg = syclport::rt::autotune::current_config();
-  return cfg != nullptr ? cfg->cache_block.value_or(0) : 0;
 }
 
 /// f(id) for the ids of row `row` of `r` (the row-major rows of its
@@ -153,36 +118,22 @@ void exec_flat(const device&, const char* name, const range<Dims>& r,
   // Streaming launch: every written accessor is discard_write, i.e. a
   // pure write stream (BabelStream-style fills/copies). Pin the static
   // schedule so the worker-to-range map matches the first-touch page
-  // placement the mem subsystem established at allocation. The pin is
-  // taken *before* the tuning scope, so an active autotuner (which may
-  // be racing the first-touch axis itself) still overrides it.
+  // placement the mem subsystem established at allocation.
   std::optional<syclport::rt::ScopedLaunchParams> pin;
   if (streaming)
     pin.emplace(syclport::rt::Schedule::Static, std::nullopt);
-  // Flat launches are independent-point by construction here (a
-  // reduction takes exec_flat_reduce), so on multi-dimensional ranges
-  // this lowering also races the cache-blocked traversal.
-  syclport::rt::autotune::TunedLaunchParams tuned(exec_site(
-      name, Dims, to3(r), false,
-      Dims >= 2 ? syclport::rt::autotune::kCacheBlock : 0u));
   syclport::WallTimer t;
-  const std::size_t total = r.size();
-  const std::size_t cb = active_cache_block();
   const std::size_t fast = r[Dims - 1];
   auto seg = [&](std::size_t row, std::size_t jb, std::size_t je) {
     for_row_ids(r, row, jb, je,
                 [&](const id<Dims>& i) { invoke_flat(k, i, r); });
   };
-  if (Dims >= 2 && cb > 0 && cb < fast && fast > 0) {
-    syclport::rt::autotune::blocked_parallel_for(total / fast, fast, cb, seg);
-  } else {
-    // Templated fast path: the lambda is dispatched inline by the pool,
-    // no std::function is constructed per launch or per chunk.
-    syclport::rt::ThreadPool::global().parallel_for(
-        total, [&](std::size_t b, std::size_t e) {
-          syclport::rt::autotune::for_each_row_segment(b, e, fast, seg);
-        });
-  }
+  // Templated fast path: the lambda is dispatched inline by the pool,
+  // no std::function is constructed per launch or per chunk.
+  syclport::rt::ThreadPool::global().parallel_for(
+      r.size(), [&](std::size_t b, std::size_t e) {
+        syclport::rt::for_each_row_segment(b, e, fast, seg);
+      });
   log_launch(name, Dims, to3(r), std::nullopt, false, false, t.seconds(),
              syclport::rt::ThreadPool::last_stats(), streaming);
 }
@@ -192,10 +143,7 @@ void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
                       const reduction_descriptor<T, Op>& red, const K& k) {
   // The index blocks of core/reducer.hpp: each block accumulates its
   // points in ascending order, and the partials fold in block order -
-  // the result is independent of schedule, grain and worker count. The
-  // cache-block axis, which does reorder, is NOT declared here.
-  syclport::rt::autotune::TunedLaunchParams tuned(
-      exec_site(name, Dims, to3(r), false));
+  // the result is independent of schedule, grain and worker count.
   syclport::WallTimer t;
   const std::size_t rows = Dims == 1 || r.size() == 0 ? 1 : r[0];
   const syclport::ReduceBlocks blocks(rows, r.size() / rows);
@@ -206,7 +154,7 @@ void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
         blocks.count(), [&](std::size_t kb, std::size_t ke) {
           for (std::size_t blk = kb; blk < ke; ++blk) {
             reducer<T, Op> part(red.identity, red.op);
-            syclport::rt::autotune::for_each_row_segment(
+            syclport::rt::for_each_row_segment(
                 blocks.begin(blk), blocks.end(blk), r[Dims - 1],
                 [&](std::size_t row, std::size_t jb, std::size_t je) {
                   for_row_ids(r, row, jb, je, [&](const id<Dims>& i) {
@@ -254,7 +202,7 @@ bool run_nd_group(const nd_range<Dims>& ndr, std::size_t sg_size,
       local.size(),
       [&](std::size_t li) { run(delinearize(li, local), li); },
       [&](std::size_t b, std::size_t e) {
-        syclport::rt::autotune::for_each_row_segment(
+        syclport::rt::for_each_row_segment(
             b, e, fast, [&](std::size_t row, std::size_t jb, std::size_t je) {
               std::size_t li = row * fast + jb;
               for_row_ids(local, row, jb, je,
@@ -266,8 +214,6 @@ bool run_nd_group(const nd_range<Dims>& ndr, std::size_t sg_size,
 template <int Dims, typename K>
 void exec_nd(const device& dev, const char* name, const nd_range<Dims>& ndr,
              const K& k) {
-  syclport::rt::autotune::TunedLaunchParams tuned(
-      exec_site(name, Dims, to3(ndr.get_global_range()), true));
   syclport::WallTimer t;
   const std::size_t sg_size = dev.profile().sub_group_size;
   std::atomic<bool> used_barrier{false};
@@ -286,8 +232,6 @@ template <int Dims, typename T, typename Op, typename K>
 void exec_nd_reduce(const device& dev, const char* name,
                     const nd_range<Dims>& ndr,
                     const reduction_descriptor<T, Op>& red, const K& k) {
-  syclport::rt::autotune::TunedLaunchParams tuned(
-      exec_site(name, Dims, to3(ndr.get_global_range()), true));
   syclport::WallTimer t;
   const std::size_t sg_size = dev.profile().sub_group_size;
   // One partial per work-group, folded in group linear id order; a

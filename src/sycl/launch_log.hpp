@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/autotune/config.hpp"
 #include "runtime/fault/fault.hpp"
 #include "runtime/mem/mem.hpp"
 #include "runtime/thread_pool.hpp"
@@ -52,22 +51,9 @@ struct launch_record {
   /// activity); lets bench reports separate scheduling overhead from
   /// kernel time. Zero chunks for single_task.
   syclport::rt::LaunchStats executor{};
-  /// How the autotuner served this launch: None when tuning is off or
-  /// the site is not tunable, Exploring while a search candidate ran,
-  /// Exploiting once the winner is locked in. tune_config is the
-  /// serving Config's wire rendering ("" for None) - together these
-  /// make warm-run verification ("zero explored launches") a log query.
-  syclport::rt::autotune::Phase tune_phase =
-      syclport::rt::autotune::Phase::None;
-  std::string tune_config;
-  /// Transfer-seed provenance: the key of the already-tuned site (plus
-  /// "@fingerprint" for a cross-machine donor) that seeded this site's
-  /// search pool; "" for a full (unseeded) search.
-  std::string tune_seed;
   /// True when the launch took the streaming path: every written
   /// accessor was discard_write, so the executor pinned the
-  /// placement-preserving static schedule (unless the tuner overrode
-  /// it).
+  /// placement-preserving static schedule.
   bool streaming = false;
 };
 
@@ -83,7 +69,7 @@ struct command_record {
 /// fused schedule eliminated (bench/ablation_fusion and the study
 /// report read these; docs/fusion.md).
 struct fusion_record {
-  std::string chain;             ///< per-composition chain site name
+  std::string chain;             ///< per-composition chain name
   std::size_t loops = 0;         ///< captured loops
   std::size_t segments = 0;      ///< segments after dataflow partitioning
   std::size_t tile = 0;          ///< slow-dim tile depth used (0 = unfused)

@@ -442,7 +442,6 @@ int cmd_report(const std::string& out_path) {
       op2::Options o;
       o.exec = op2::Exec::Serial;
       o.strategy = s;
-      o.tune = false;  // report the explicit configs, not a tuner race
       (void)apps::run_mgcfd(o, apps::mgcfd_small());
       unsetenv("SYCLPORT_RENUMBER");
     };

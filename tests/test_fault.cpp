@@ -1,7 +1,7 @@
 // Chaos harness for the fault-injection and resilience subsystem
 // (docs/resilience.md): plan grammar and determinism, per-layer
-// injection sites (mem, thread pool, OoO scheduler, mini-MPI, tuning
-// cache), recovery paths, checkpoint/restart, and seeded fault
+// injection sites (mem, thread pool, OoO scheduler, mini-MPI),
+// recovery paths, checkpoint/restart, and seeded fault
 // schedules over the mini-apps. The invariant every schedule asserts:
 // a run under injection either completes with a bit-exact answer or
 // raises a typed error - never a hang, crash, or silent corruption.
@@ -26,7 +26,6 @@
 #include "apps/apps.hpp"
 #include "minimpi/comm.hpp"
 #include "ops/ops.hpp"
-#include "runtime/autotune/cache.hpp"
 #include "runtime/fault/checkpoint.hpp"
 #include "runtime/fault/fault.hpp"
 #include "runtime/mem/mem.hpp"
@@ -34,7 +33,6 @@
 
 namespace fault = syclport::rt::fault;
 namespace mem = syclport::rt::mem;
-namespace at = syclport::rt::autotune;
 namespace mpi = syclport::mpi;
 namespace ops = syclport::ops;
 namespace apps = syclport::apps;
@@ -552,30 +550,6 @@ INSTANTIATE_TEST_SUITE_P(Schedules, RankDeath,
                                   std::to_string(ti.param.victim) +
                                   (ti.param.armed ? "_armed" : "_disarmed");
                          });
-
-// ---------------------------------------------------------------------------
-// Tuning cache: corrupted load falls back to retuning
-// ---------------------------------------------------------------------------
-
-TEST(FaultCache, InjectedBitFlipRejectsFileAndCountsRecovery) {
-  const std::string path = "test_fault_cache.json";
-  at::CacheData data;
-  data.fingerprint = "cores=4;l1d=32768;l2=1048576;llc=8388608;triad_log2=4";
-  at::Config cfg;
-  cfg.grain = 512;
-  data.entries = {{"kern|1|4096x1x1|flat|fp9", cfg, ""}};
-  ASSERT_TRUE(at::write_cache(path, data));
-  ASSERT_TRUE(at::read_cache(path).has_value());  // clean load works
-
-  ScopedPlan plan("6:cache.corrupt=@1");
-  EXPECT_FALSE(at::read_cache(path).has_value());  // flipped bit: rejected
-  const auto fs = fault::stats();
-  EXPECT_EQ(fs.injected_at(fault::Site::CacheCorrupt), 1u);
-  EXPECT_GE(fs.recovered_at(fault::Site::CacheCorrupt), 1u);
-  // Next occurrence does not fire: the same file loads again.
-  EXPECT_TRUE(at::read_cache(path).has_value());
-  std::remove(path.c_str());
-}
 
 // ---------------------------------------------------------------------------
 // Checkpoint/restart

@@ -15,8 +15,8 @@
 #include "minimpi/comm.hpp"
 #include "ops/loop_chain.hpp"
 #include "ops/ops.hpp"
-#include "runtime/autotune/autotune.hpp"
 #include "runtime/fiber.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sycl/sycl.hpp"
 
 namespace ops = syclport::ops;
@@ -200,32 +200,25 @@ TEST(Fuzz, EnergyModelSanity) {
 }
 
 // ---------------------------------------------------------------------
-// Tuned launches: whatever schedule x grain x cache-block candidate the
-// autotuner serves a launch, the results must be bit-identical to the
-// serial reference loop - on shapes nobody hand-picked, through the
-// explore AND exploit phases, on both flat lowerings (pool sweep and
-// SYCL flat), stencil and reduction.
+// Scheduled launches: whatever schedule x grain a context pins, on every
+// parallel lowering (pool sweep, SYCL flat, SYCL nd_range), the results
+// must be bit-identical to the serial reference loop - on shapes nobody
+// hand-picked, stencil and reduction.
 
-TEST(Fuzz, TunedLaunchesStayBitExact) {
-  namespace at = syclport::rt::autotune;
-  struct TunerGuard {
-    ~TunerGuard() {
-      at::Autotuner::instance().reset(at::Autotuner::Mode::Off, "", "");
-    }
-  } guard;
-  at::Autotuner::instance().reset(at::Autotuner::Mode::On, "fp-fuzz", "");
-
+TEST(Fuzz, ScheduledLaunchesStayBitExact) {
   std::mt19937 rng(417);
   for (int trial = 0; trial < 5; ++trial) {
     const std::size_t ny = 7 + rng() % 60;
     const std::size_t nx = 7 + rng() % 60;
     // Integer-valued input: the reduction below is exact in double for
-    // any accumulation order, so a mismatch can only mean a candidate
+    // any accumulation order, so a mismatch can only mean a schedule
     // visited an index twice, skipped one, or mis-handled a row end.
-    auto run = [&](ops::Backend be, std::optional<bool> tune, int iters) {
+    auto run = [&](ops::Backend be, std::optional<rt::Schedule> schedule,
+                   std::optional<std::size_t> grain) {
       ops::Options o;
       o.backend = be;
-      o.tune = tune;
+      o.schedule = schedule;
+      o.grain = grain;
       o.record = false;
       ops::Context ctx(o);
       ops::Block grid(ctx, "g", 2, {ny, nx, 1});
@@ -233,45 +226,35 @@ TEST(Fuzz, TunedLaunchesStayBitExact) {
       for (long i = -1; i <= static_cast<long>(ny); ++i)
         for (long j = -1; j <= static_cast<long>(nx); ++j)
           a.at(i, j) = static_cast<double>(3 * i - 2 * j);
-      double sweep0 = 0.0, red0 = 0.0;
-      for (int it = 0; it < iters; ++it) {
-        ops::par_loop(ctx, {"fz_sweep"}, grid, ops::Range::all(grid),
-                      [](ops::ACC<double> out, ops::ACC<double> in) {
-                        out(0, 0) = in(0, 0) + 0.2 * (in(1, 0) + in(-1, 0) +
-                                                      in(0, 1) + in(0, -1));
-                      },
-                      ops::arg(b, ops::S_PT, ops::Acc::W),
-                      ops::arg(a, ops::S2D_5PT, ops::Acc::R));
-        double red = 0.0;
-        ops::par_loop(ctx, {"fz_red", hw::KernelClass::Reduction, 1.0}, grid,
-                      ops::Range::all(grid),
-                      [](ops::ACC<double> in, ops::Reducer<double> r) {
-                        r += in(0, 0);
-                      },
-                      ops::arg(a, ops::S_PT, ops::Acc::R),
-                      ops::reduce(red, ops::RedOp::Sum));
-        const double sweep = b.interior_sum();
-        if (it == 0) {
-          sweep0 = sweep;
-          red0 = red;
-        }
-        EXPECT_EQ(sweep, sweep0)
-            << "trial " << trial << " iter " << it << " backend "
-            << static_cast<int>(be);
-        EXPECT_EQ(red, red0)
-            << "trial " << trial << " iter " << it << " backend "
-            << static_cast<int>(be);
-        if (sweep != sweep0 || red != red0) break;
-      }
-      return std::pair{sweep0, red0};
+      ops::par_loop(ctx, {"fz_sweep"}, grid, ops::Range::all(grid),
+                    [](ops::ACC<double> out, ops::ACC<double> in) {
+                      out(0, 0) = in(0, 0) + 0.2 * (in(1, 0) + in(-1, 0) +
+                                                    in(0, 1) + in(0, -1));
+                    },
+                    ops::arg(b, ops::S_PT, ops::Acc::W),
+                    ops::arg(a, ops::S2D_5PT, ops::Acc::R));
+      double red = 0.0;
+      ops::par_loop(ctx, {"fz_red", hw::KernelClass::Reduction, 1.0}, grid,
+                    ops::Range::all(grid),
+                    [](ops::ACC<double> in, ops::Reducer<double> r) {
+                      r += in(0, 0);
+                    },
+                    ops::arg(a, ops::S_PT, ops::Acc::R),
+                    ops::reduce(red, ops::RedOp::Sum));
+      return std::pair{b.interior_sum(), red};
     };
-    // 160 tuned iterations span the full race and the locked-in
-    // winner; every one must match the serial reference bit for bit.
-    const auto ref = run(ops::Backend::Serial, false, 1);
-    EXPECT_EQ(run(ops::Backend::Threads, true, 160), ref)
-        << "trial " << trial << " grid " << ny << "x" << nx;
-    EXPECT_EQ(run(ops::Backend::SyclFlat, true, 160), ref)
-        << "trial " << trial << " grid " << ny << "x" << nx;
+    const auto ref = run(ops::Backend::Serial, std::nullopt, std::nullopt);
+    for (const ops::Backend be :
+         {ops::Backend::Threads, ops::Backend::SyclFlat, ops::Backend::SyclNd})
+      for (const rt::Schedule sched :
+           {rt::Schedule::Static, rt::Schedule::Dynamic, rt::Schedule::Steal})
+        for (int g = 0; g < 3; ++g) {
+          const std::size_t grain = std::size_t{1} << (rng() % 12);
+          EXPECT_EQ(run(be, sched, grain), ref)
+              << "trial " << trial << " grid " << ny << "x" << nx
+              << " backend " << static_cast<int>(be) << " schedule "
+              << rt::to_string(sched) << " grain " << grain;
+        }
   }
 }
 

@@ -61,7 +61,6 @@ op2::Options opts(Strategy s, op2::Exec x = op2::Exec::Threads) {
   o.strategy = s;
   o.exec = x;
   o.block_size = 16;
-  o.tune = false;  // deterministic schedules: no tuner exploration
   return o;
 }
 

@@ -19,7 +19,6 @@
 
 #include "ops/loop_chain.hpp"
 #include "ops/ops.hpp"
-#include "runtime/autotune/autotune.hpp"
 #include "sycl/launch_log.hpp"
 
 namespace ops = syclport::ops;
@@ -174,44 +173,6 @@ TEST(LoopChain, RadiusZeroChainNeedsNoExpansion) {
   for (std::size_t tile : {1u, 3u, 10u}) {
     EXPECT_DOUBLE_EQ(build_and_run(tile), ref) << "tile=" << tile;
   }
-}
-
-TEST(LoopChain, AutotunedExecutePicksTileAndStaysExact) {
-  // execute() with no explicit tile hands the depth to the autotuner;
-  // whatever it explores, every chain run must stay bit-identical to
-  // the reference schedule.
-  namespace at = syclport::rt::autotune;
-  at::Autotuner::instance().reset(at::Autotuner::Mode::On, "fp-chain", "");
-
-  const std::size_t n = 24;
-  ops::Options o = serial();
-  o.tune = true;
-  ops::Context ctx(o);
-  ops::Block grid(ctx, "g", 2, {n, n, 1});
-  ops::Dat<double> a(grid, "a", 1, 1), b(grid, "b", 1, 1), c(grid, "c", 1, 1);
-  for (long i = -1; i <= static_cast<long>(n); ++i)
-    for (long j = -1; j <= static_cast<long>(n); ++j)
-      a.at(i, j) = std::sin(0.2 * i) + std::cos(0.3 * j);
-
-  auto lap = [](ops::ACC<double> out, ops::ACC<double> in) {
-    out(0, 0) = 0.25 * (in(1, 0) + in(-1, 0) + in(0, 1) + in(0, -1));
-  };
-  auto run_once = [&](std::optional<std::size_t> tile) {
-    b.fill(0.0);
-    c.fill(0.0);
-    ops::LoopChain chain(ctx, grid);
-    chain.enqueue({"t1"}, lap, ops::arg(b, ops::S_PT, ops::Acc::W),
-                  ops::arg(a, ops::S2D_5PT, ops::Acc::R));
-    chain.enqueue({"t2"}, lap, ops::arg(c, ops::S_PT, ops::Acc::W),
-                  ops::arg(b, ops::S2D_5PT, ops::Acc::R));
-    chain.execute(tile);
-    return c.interior_sum();
-  };
-  const double ref = run_once(0);
-  for (int i = 0; i < 40; ++i)  // spans explore + exploit rounds
-    EXPECT_DOUBLE_EQ(run_once(std::nullopt), ref) << "run " << i;
-
-  at::Autotuner::instance().reset(at::Autotuner::Mode::Off, "", "");
 }
 
 TEST(LoopChain, InPlaceDatsDoubleBufferedUnderTiling) {
@@ -577,9 +538,9 @@ TEST(LoopChain, ReenqueueAfterThrownChainWorks) {
 }
 
 TEST(LoopChain, ChainSiteNamesArePerComposition) {
-  // Autotune site names derive from the captured composition: stable
-  // (interned) for the same chain, distinct across compositions - no
-  // more single shared "(loop_chain)" entry.
+  // Chain names (the key of each fusion record) derive from the
+  // captured composition: stable (interned) for the same chain, distinct
+  // across compositions.
   namespace df = ops::dataflow;
   std::vector<df::Node> one(1);
   one[0].name = "alpha";
@@ -600,8 +561,8 @@ TEST(LoopChain, ChainSiteNamesArePerComposition) {
 
 TEST(LoopChain, FusedScopeParityAcrossFusionModes) {
   // The capture front end must produce bit-identical results under
-  // SYCLPORT_FUSION=off (eager reference), =on (pinned fuse), and
-  // =auto (hwmodel decides; tuner is off here).
+  // SYCLPORT_FUSION=off (eager reference) and =on (fused, hwmodel
+  // picks the tile).
   ops::Context ctx(serial());
   const long n = 16;
   ops::Block grid(ctx, "g", 2, {16, 16, 1});
@@ -627,7 +588,6 @@ TEST(LoopChain, FusedScopeParityAcrossFusionModes) {
   };
   const double off = run_mode("off");
   EXPECT_DOUBLE_EQ(run_mode("on"), off);
-  EXPECT_DOUBLE_EQ(run_mode("auto"), off);
   unsetenv("SYCLPORT_FUSION");
 }
 
@@ -653,7 +613,7 @@ TEST(LoopChain, FusedChainReportsEliminatedBytes) {
                 ops::arg(a, ops::S2D_5PT, ops::Acc::R));
   chain.enqueue({"e2"}, lap, ops::arg(c, ops::S_PT, ops::Acc::W),
                 ops::arg(b, ops::S2D_5PT, ops::Acc::R));
-  chain.execute(8, true);
+  chain.execute(8);
 
   EXPECT_EQ(chain.last_segments(), 1u);
   EXPECT_TRUE(chain.last_fused());

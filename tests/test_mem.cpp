@@ -1,16 +1,13 @@
 // Unit tests for the rt::mem subsystem: size-class pool, first-touch
 // initialisation modes, streaming fill/copy, the Array<T> dat backing,
-// USM leak/alignment round-trips through it, and the autotuner's
-// first-touch axis wire format.
+// and USM leak/alignment round-trips through it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <thread>
 #include <vector>
 
-#include "runtime/autotune/autotune.hpp"
 #include "runtime/mem/array.hpp"
 #include "runtime/mem/mem.hpp"
 #include "runtime/mem/stream.hpp"
@@ -182,20 +179,6 @@ TEST(MemFirstTouch, SerialModeStillZeroes) {
   for (std::size_t i = 0; i < kCount; ++i) ASSERT_EQ(p[i], 0u);
   mem::dealloc(p);
   mem::trim();
-}
-
-TEST(MemFirstTouch, OverrideIsThreadLocal) {
-  mem::set_first_touch_override(false);
-  EXPECT_FALSE(mem::first_touch_active());
-  bool other_thread_sees_config = false;
-  std::thread([&] {
-    other_thread_sees_config =
-        !mem::first_touch_override().has_value() &&
-        mem::first_touch_active() == mem::config().first_touch;
-  }).join();
-  EXPECT_TRUE(other_thread_sees_config);
-  mem::set_first_touch_override(std::nullopt);
-  EXPECT_EQ(mem::first_touch_active(), mem::config().first_touch);
 }
 
 TEST(MemFirstTouch, TouchCountsTelemetry) {
@@ -375,25 +358,6 @@ TEST(MemBuffer, QueueFillAndMemcpyOnUsm) {
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(b[i], 2.25) << "i=" << i;
   sycl::free(a, q);
   sycl::free(b, q);
-}
-
-TEST(MemAutotune, FirstTouchRoundTripsThroughWireFormat) {
-  namespace at = syclport::rt::autotune;
-  at::Config c;
-  c.tile = 32;
-  c.first_touch = true;
-  const std::string wire = c.to_string();
-  EXPECT_NE(wire.find("first_touch=on"), std::string::npos);
-  const auto back = at::Config::parse(wire);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, c);
-
-  c.first_touch = false;
-  const auto back2 = at::Config::parse(c.to_string());
-  ASSERT_TRUE(back2.has_value());
-  EXPECT_EQ(back2->first_touch, std::optional<bool>(false));
-
-  EXPECT_FALSE(at::Config::parse("first_touch=sideways").has_value());
 }
 
 TEST(MemPool, TinyArenaCapDegradesGracefullyNotFatally) {

@@ -634,56 +634,52 @@ TEST(ParLoop, MismatchedIncMapsRejected) {
 
 TEST(LoopChain, DirectChainFusesElementWise) {
   // Three direct loops (incl. a global reduction) over one set fuse
-  // into a single element-wise sweep: one segment, bit-identical to the
-  // unfused reference, with the full internal bound eliminated.
+  // into a single element-wise sweep: one segment, bit-identical to
+  // eager par_loop execution, with the full internal bound eliminated.
   op2::Context ctx(opts(Strategy::Atomics, op2::Exec::Serial));
   op2::Set verts("n", 257);
   op2::Dat<double> x(verts, 1, "x"), y(verts, 1, "y"), z(verts, 1, "z");
   for (std::size_t e = 0; e < verts.size(); ++e)
     x.at(e) = 0.01 * static_cast<double>(e) - 3.0;
 
-  auto run = [&](std::optional<bool> fuse) {
-    y.fill(0.0);
-    z.fill(0.0);
-    double mass = 0.0;
-    op2::LoopChain chain(ctx);
-    chain.enqueue({"scale"}, verts,
-                  [](double* yy, const double* xx) {
-                    yy[0] = 2.0 * xx[0] + 1.0;
-                  },
-                  op2::arg_direct(y, op2::Acc::W),
-                  op2::arg_direct(x, op2::Acc::R));
-    chain.enqueue({"combine"}, verts,
-                  [](double* zz, const double* yy, const double* xx) {
-                    zz[0] = yy[0] * xx[0] - 0.5;
-                  },
-                  op2::arg_direct(z, op2::Acc::W),
-                  op2::arg_direct(y, op2::Acc::R),
-                  op2::arg_direct(x, op2::Acc::R));
-    chain.enqueue({"mass"}, verts,
-                  [](const double* zz, op2::Reducer<double> r) { r += zz[0]; },
-                  op2::arg_direct(z, op2::Acc::R),
-                  op2::arg_gbl(mass, op2::RedOp::Sum));
-    chain.execute(fuse);
-    EXPECT_EQ(chain.last_segments(), 1u);
-    return std::tuple(y.sum(), z.sum(), mass, chain.last_fused(),
-                      chain.last_eliminated_bytes());
+  auto scale = [](double* yy, const double* xx) { yy[0] = 2.0 * xx[0] + 1.0; };
+  auto combine = [](double* zz, const double* yy, const double* xx) {
+    zz[0] = yy[0] * xx[0] - 0.5;
   };
-  const auto [y0, z0, m0, f0, e0] = run(false);
-  EXPECT_FALSE(f0);
-  EXPECT_DOUBLE_EQ(e0, 0.0);
-  const auto [y1, z1, m1, f1, e1] = run(true);
-  EXPECT_TRUE(f1);
-  EXPECT_GT(e1, 0.0);
-  EXPECT_DOUBLE_EQ(y1, y0);
-  EXPECT_DOUBLE_EQ(z1, z0);
+  auto sum = [](const double* zz, op2::Reducer<double> r) { r += zz[0]; };
+
+  y.fill(0.0);
+  z.fill(0.0);
+  double m0 = 0.0;
+  op2::par_loop(ctx, {"scale"}, verts, scale, op2::arg_direct(y, op2::Acc::W),
+                op2::arg_direct(x, op2::Acc::R));
+  op2::par_loop(ctx, {"combine"}, verts, combine,
+                op2::arg_direct(z, op2::Acc::W),
+                op2::arg_direct(y, op2::Acc::R),
+                op2::arg_direct(x, op2::Acc::R));
+  op2::par_loop(ctx, {"mass"}, verts, sum, op2::arg_direct(z, op2::Acc::R),
+                op2::arg_gbl(m0, op2::RedOp::Sum));
+  const double y0 = y.sum(), z0 = z.sum();
+
+  y.fill(0.0);
+  z.fill(0.0);
+  double m1 = 0.0;
+  op2::LoopChain chain(ctx);
+  chain.enqueue({"scale"}, verts, scale, op2::arg_direct(y, op2::Acc::W),
+                op2::arg_direct(x, op2::Acc::R));
+  chain.enqueue({"combine"}, verts, combine,
+                op2::arg_direct(z, op2::Acc::W),
+                op2::arg_direct(y, op2::Acc::R),
+                op2::arg_direct(x, op2::Acc::R));
+  chain.enqueue({"mass"}, verts, sum, op2::arg_direct(z, op2::Acc::R),
+                op2::arg_gbl(m1, op2::RedOp::Sum));
+  chain.execute();
+  EXPECT_EQ(chain.last_segments(), 1u);
+  EXPECT_TRUE(chain.last_fused());
+  EXPECT_GT(chain.last_eliminated_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(y.sum(), y0);
+  EXPECT_DOUBLE_EQ(z.sum(), z0);
   EXPECT_DOUBLE_EQ(m1, m0);
-  const auto [y2, z2, m2, f2, e2] = run(std::nullopt);  // default: fused
-  EXPECT_TRUE(f2);
-  EXPECT_GT(e2, 0.0);
-  EXPECT_DOUBLE_EQ(y2, y0);
-  EXPECT_DOUBLE_EQ(z2, z0);
-  EXPECT_DOUBLE_EQ(m2, m0);
 }
 
 TEST(LoopChain, IndirectLoopAndSetChangeSplitSegments) {
@@ -731,7 +727,7 @@ TEST(LoopChain, IndirectLoopAndSetChangeSplitSegments) {
   chain.enqueue({"acc"}, mesh.vertices, acc,
                 op2::arg_direct(sv, op2::Acc::RW),
                 op2::arg_direct(xv, op2::Acc::R));
-  chain.execute(true);
+  chain.execute();
   EXPECT_EQ(chain.last_segments(), 3u);
   EXPECT_DOUBLE_EQ(we.sum(), we_ref);
   EXPECT_DOUBLE_EQ(sv.sum(), sv_ref);
@@ -758,7 +754,7 @@ TEST(LoopChain, ThrowLeavesChainReusable) {
                 },
                 op2::arg_direct(b, op2::Acc::RW),
                 op2::arg_direct(a, op2::Acc::R));
-  EXPECT_THROW(chain.execute(true), std::runtime_error);
+  EXPECT_THROW(chain.execute(), std::runtime_error);
   EXPECT_EQ(chain.size(), 0u);
 
   chain.enqueue({"ok2"}, verts, twice, op2::arg_direct(b, op2::Acc::W),

@@ -1,20 +1,25 @@
 // Unit tests for the runtime substrate: thread pool scheduling (static /
-// dynamic / work-stealing), launch params, and fiber-based work-group
-// barriers with pooled stacks.
+// dynamic / work-stealing), launch params, fiber-based work-group
+// barriers with pooled stacks, env-knob parsing and the row walker.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "runtime/env.hpp"
 #include "runtime/fiber.hpp"
+#include "runtime/row_walk.hpp"
 #include "runtime/thread_pool.hpp"
 
+namespace env = syclport::rt::env;
 namespace rt = syclport::rt;
 
 TEST(ThreadPool, RunsEveryChunkExactlyOnce) {
@@ -418,7 +423,30 @@ TEST(BarrierGroup, FiberItemBarrierAfterItem0ReturnedIsAnError) {
                                        if (i != 0) rt::group_barrier();
                                      }),
                std::logic_error);
-  EXPECT_EQ(unwound, 2);  // item 0 returned; item 1 unwound at the barrier
+  // Item 0 returned and item 1 unwound at the barrier; items 2 and 3,
+  // still suspended at the first barrier, are cancelled and unwound.
+  EXPECT_EQ(unwound, 4);
+}
+
+TEST(BarrierGroup, ExceptionFromItem0UnwindsSuspendedFiberItems) {
+  // Item 0 throws while items 1..3 wait at the first barrier: each of
+  // them unwinds (its guard runs) without running past that barrier.
+  int unwound = 0, past_barrier = 0;
+  struct Unwind {
+    int* n;
+    ~Unwind() { ++*n; }
+  };
+  EXPECT_THROW(rt::run_barrier_group(4,
+                                     [&](std::size_t i) {
+                                       Unwind u{&unwound};
+                                       rt::group_barrier();
+                                       if (i == 0)
+                                         throw std::runtime_error("item 0");
+                                       ++past_barrier;
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(unwound, 4);
+  EXPECT_EQ(past_barrier, 0);
 }
 
 TEST(BarrierGroup, ExceptionFromItem0AfterFibersStartedLeavesThreadClean) {
@@ -532,4 +560,65 @@ TEST(ThreadPool, ScopedSerialExecutionForcesInlineRuns) {
   }
   EXPECT_FALSE(rt::serial_execution_forced());
   EXPECT_EQ(n.load(), 10'000u);
+}
+
+TEST(EnvParse, RejectsMalformedIntegersDeterministically) {
+  env::reset_warnings_for_testing();
+  ::setenv("SYCLPORT_TEST_KNOB", "12abc", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(env::get_long("SYCLPORT_TEST_KNOB", 1, 4096).has_value());
+  // Warn-once: the second failed parse must stay silent.
+  EXPECT_FALSE(env::get_long("SYCLPORT_TEST_KNOB", 1, 4096).has_value());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("SYCLPORT_TEST_KNOB"), std::string::npos);
+  EXPECT_EQ(err.find("SYCLPORT_TEST_KNOB", err.find("SYCLPORT_TEST_KNOB") + 1),
+            std::string::npos)
+      << "must warn exactly once per variable";
+
+  ::setenv("SYCLPORT_TEST_KNOB", "9999999", 1);  // out of range
+  env::reset_warnings_for_testing();
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(env::get_long("SYCLPORT_TEST_KNOB", 1, 4096).has_value());
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("SYCLPORT_TEST_KNOB"),
+            std::string::npos);
+
+  ::setenv("SYCLPORT_TEST_KNOB", "64", 1);
+  EXPECT_EQ(env::get_long("SYCLPORT_TEST_KNOB", 1, 4096), 64);
+  ::unsetenv("SYCLPORT_TEST_KNOB");
+  EXPECT_FALSE(env::get_long("SYCLPORT_TEST_KNOB", 1, 4096).has_value());
+}
+
+TEST(EnvParse, ChoiceKnobsMatchDocumentedSpellingsOnly) {
+  env::reset_warnings_for_testing();
+  constexpr std::string_view kChoices[] = {"off", "on", "force"};
+  ::setenv("SYCLPORT_TEST_MODE", "on", 1);
+  EXPECT_EQ(env::get_choice("SYCLPORT_TEST_MODE", kChoices), 1u);
+  ::setenv("SYCLPORT_TEST_MODE", "ON", 1);  // case-sensitive by contract
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(env::get_choice("SYCLPORT_TEST_MODE", kChoices).has_value());
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("SYCLPORT_TEST_MODE"),
+            std::string::npos);
+  ::unsetenv("SYCLPORT_TEST_MODE");
+  EXPECT_FALSE(env::get_choice("SYCLPORT_TEST_MODE", kChoices).has_value());
+}
+
+TEST(RowSegments, SpansSplitAtRowEndsInAscendingOrder) {
+  // Every span [b, e) of a 6 x 5 space - including empty, mid-row and
+  // multi-row spans - must come back as its own indices, in order, in
+  // pieces that never cross a row end.
+  constexpr std::size_t rows = 6, fast = 5;
+  for (std::size_t b = 0; b <= rows * fast; ++b)
+    for (std::size_t e = b; e <= rows * fast; ++e) {
+      std::vector<std::size_t> seen;
+      rt::for_each_row_segment(
+          b, e, fast, [&](std::size_t row, std::size_t jb, std::size_t je) {
+            ASSERT_LT(jb, je);
+            ASSERT_LE(je, fast);
+            for (std::size_t j = jb; j < je; ++j)
+              seen.push_back(row * fast + j);
+          });
+      ASSERT_EQ(seen.size(), e - b) << "[" << b << ", " << e << ")";
+      for (std::size_t k = 0; k < seen.size(); ++k)
+        ASSERT_EQ(seen[k], b + k) << "[" << b << ", " << e << ")";
+    }
 }
