@@ -156,6 +156,21 @@ TEST(FaultPlan, SiteNamesRoundTrip) {
   EXPECT_FALSE(fault::site_from_string("not.a.site").has_value());
 }
 
+TEST(FaultPlan, RetiredCacheSiteIsRejected) {
+  // No layer reads a tuning cache any more, so `cache.corrupt` and the
+  // `cache.*` group name nothing: a plan naming them is malformed and
+  // leaves the layer disarmed rather than arming a site no code rolls.
+  fault::clear();
+  EXPECT_FALSE(fault::site_from_string("cache.corrupt").has_value());
+  EXPECT_FALSE(fault::configure("6:cache.corrupt=@1"));
+  EXPECT_FALSE(fault::configure("6:cache.*=0.5"));
+  EXPECT_FALSE(fault::configure("6:comm.drop=@1,cache.corrupt=@1"));
+  EXPECT_FALSE(fault::armed());
+  for (std::size_t s = 0; s < fault::kSiteCount; ++s)
+    EXPECT_STRNE(fault::to_string(static_cast<fault::Site>(s)),
+                 "cache.corrupt");
+}
+
 // ---------------------------------------------------------------------------
 // Memory subsystem: injected allocation failure and arena pressure
 // ---------------------------------------------------------------------------

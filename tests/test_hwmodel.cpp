@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <thread>
+
 #include "hwmodel/comm_model.hpp"
 #include "hwmodel/device_model.hpp"
 #include "hwmodel/exec_profile.hpp"
@@ -40,6 +44,28 @@ TEST(Platform, CacheSizesMatchPaperSection41) {
 TEST(Platform, StreamBelowPeak) {
   for (const auto* p : hw::all_platforms())
     EXPECT_LT(p->stream_bw_gbs, p->peak_bw_gbs) << p->name;
+}
+
+TEST(Platform, NearestHostPlatformIsTheClosestCpuByCoreCount) {
+  // The fusion tile model sizes tiles for the host through this CPU
+  // descriptor: the calibrated CPU whose core count is nearest the
+  // host's on a log scale, and the same object on every call.
+  const hw::Platform& host = hw::nearest_host_platform();
+  EXPECT_FALSE(host.gpu) << host.name;
+  EXPECT_EQ(&hw::nearest_host_platform(), &host);
+  const double cores =
+      static_cast<double>(std::max(1u, std::thread::hardware_concurrency()));
+  const double dist = std::abs(std::log2(cores / host.cores));
+  const auto all = hw::all_platforms();
+  EXPECT_NE(std::find(all.begin(), all.end(), &host), all.end());
+  int cpus = 0;
+  for (const auto* p : all) {
+    if (p->gpu) continue;
+    ++cpus;
+    EXPECT_LE(dist, std::abs(std::log2(cores / p->cores)))
+        << host.name << " vs " << p->name;
+  }
+  EXPECT_EQ(cpus, 3);
 }
 
 TEST(ExecProfile, DpcppCpuLaunchesAreExpensive) {

@@ -13,15 +13,19 @@
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "ops/loop_chain.hpp"
 #include "ops/ops.hpp"
+#include "runtime/env.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sycl/launch_log.hpp"
 
 namespace ops = syclport::ops;
+namespace rt = syclport::rt;
 
 namespace {
 
@@ -589,6 +593,106 @@ TEST(LoopChain, FusedScopeParityAcrossFusionModes) {
   const double off = run_mode("off");
   EXPECT_DOUBLE_EQ(run_mode("on"), off);
   unsetenv("SYCLPORT_FUSION");
+}
+
+TEST(LoopChain, FusionKnobDefaultsToOn) {
+  unsetenv("SYCLPORT_FUSION");
+  EXPECT_TRUE(ops::fusion_enabled());
+  setenv("SYCLPORT_FUSION", "on", 1);
+  EXPECT_TRUE(ops::fusion_enabled());
+  setenv("SYCLPORT_FUSION", "off", 1);
+  EXPECT_FALSE(ops::fusion_enabled());
+  unsetenv("SYCLPORT_FUSION");
+}
+
+TEST(LoopChain, RetiredFusionAutoWarnsAndFusesLikeOn) {
+  // `auto` is no longer a spelling of the knob: it warns once, like any
+  // malformed SYCLPORT_* value, and the default (fuse) applies - with
+  // the same bits as the eager reference.
+  ops::Context ctx(serial());
+  const long n = 16;
+  ops::Block grid(ctx, "g", 2, {16, 16, 1});
+  ops::Dat<double> a(grid, "a", 1, 1), b(grid, "b", 1, 1), c(grid, "c", 1, 1);
+  for (long i = -1; i <= n; ++i)
+    for (long j = -1; j <= n; ++j) a.at(i, j) = 0.3 * i - std::sin(0.7 * j);
+  auto lap = [](ops::ACC<double> out, ops::ACC<double> in) {
+    out(0, 0) = 0.25 * (in(1, 0) + in(-1, 0) + in(0, 1) + in(0, -1));
+  };
+  auto run_mode = [&](const char* mode) {
+    setenv("SYCLPORT_FUSION", mode, 1);
+    b.fill(0.0);
+    c.fill(0.0);
+    ops::FusedScope fs(ctx, grid);
+    const bool capturing = fs.capturing();
+    fs.loop({"r1"}, lap, ops::arg(b, ops::S_PT, ops::Acc::W),
+            ops::arg(a, ops::S2D_5PT, ops::Acc::R));
+    fs.loop({"r2"}, lap, ops::arg(c, ops::S_PT, ops::Acc::W),
+            ops::arg(b, ops::S2D_5PT, ops::Acc::R));
+    fs.flush();
+    return std::pair(capturing, c.interior_sum());
+  };
+  const auto [off_captures, off] = run_mode("off");
+  EXPECT_FALSE(off_captures);
+
+  rt::env::reset_warnings_for_testing();
+  testing::internal::CaptureStderr();
+  const auto [auto_captures, fused] = run_mode("auto");
+  const std::string err = testing::internal::GetCapturedStderr();
+  unsetenv("SYCLPORT_FUSION");
+  EXPECT_TRUE(auto_captures);
+  EXPECT_NE(err.find("SYCLPORT_FUSION"), std::string::npos) << err;
+  EXPECT_EQ(std::memcmp(&fused, &off, sizeof(double)), 0);
+}
+
+TEST(LoopChain, DefaultTileMatchesUnfusedOnEveryBackendAndSchedule) {
+  // With no explicit tile the hwmodel picks the depth; on every
+  // parallel backend and schedule the chain's bits must equal the
+  // serial unfused reference.
+  const std::size_t n = 24;
+  auto run = [&](ops::Backend be, std::optional<rt::Schedule> sched,
+                 std::optional<std::size_t> tile) {
+    ops::Options o;
+    o.backend = be;
+    o.schedule = sched;
+    ops::Context ctx(o);
+    ops::Block grid(ctx, "g", 2, {n, n, 1});
+    ops::Dat<double> a(grid, "a", 1, 1), b(grid, "b", 1, 1),
+        c(grid, "c", 1, 1), d(grid, "d", 1, 1);
+    for (long i = -1; i <= static_cast<long>(n); ++i)
+      for (long j = -1; j <= static_cast<long>(n); ++j)
+        a.at(i, j) = std::sin(0.21 * i) * std::cos(0.37 * j) * 1e3;
+    auto lap = [](ops::ACC<double> out, ops::ACC<double> in) {
+      out(0, 0) = in(0, 0) + 0.2 * (in(1, 0) + in(-1, 0) + in(0, 1) +
+                                    in(0, -1) - 4.0 * in(0, 0));
+    };
+    ops::LoopChain chain(ctx, grid);
+    chain.enqueue({"d1"}, lap, ops::arg(b, ops::S_PT, ops::Acc::W),
+                  ops::arg(a, ops::S2D_5PT, ops::Acc::R));
+    chain.enqueue({"d2"}, lap, ops::arg(c, ops::S_PT, ops::Acc::W),
+                  ops::arg(b, ops::S2D_5PT, ops::Acc::R));
+    chain.enqueue({"d3"}, lap, ops::arg(d, ops::S_PT, ops::Acc::W),
+                  ops::arg(c, ops::S2D_5PT, ops::Acc::R));
+    chain.execute(tile);
+    EXPECT_EQ(chain.last_segments(), 1u);
+    std::vector<double> out;
+    for (long i = 0; i < static_cast<long>(n); ++i)
+      for (long j = 0; j < static_cast<long>(n); ++j) out.push_back(d.at(i, j));
+    return out;
+  };
+  const std::vector<double> ref =
+      run(ops::Backend::Serial, std::nullopt, std::size_t{0});
+  for (const ops::Backend be :
+       {ops::Backend::Threads, ops::Backend::SyclFlat, ops::Backend::SyclNd})
+    for (const rt::Schedule sched :
+         {rt::Schedule::Static, rt::Schedule::Dynamic, rt::Schedule::Steal}) {
+      const std::vector<double> got = run(be, sched, std::nullopt);
+      ASSERT_EQ(got.size(), ref.size());
+      EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                            ref.size() * sizeof(double)),
+                0)
+          << "backend " << static_cast<int>(be) << " schedule "
+          << rt::to_string(sched);
+    }
 }
 
 TEST(LoopChain, FusedChainReportsEliminatedBytes) {

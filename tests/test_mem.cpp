@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "runtime/mem/array.hpp"
@@ -193,6 +194,29 @@ TEST(MemFirstTouch, TouchCountsTelemetry) {
   const auto after = mem::stats();
   EXPECT_GE(after.bytes_first_touched, before.bytes_first_touched + kBytes);
   mem::dealloc(p);
+}
+
+TEST(MemFirstTouch, SwitchHoldsForAllocationsOnEveryThread) {
+  // The first-touch switch is process configuration: an allocation made
+  // on another thread follows it too, and its pages are still touched
+  // (serially) and counted when the switch is off.
+  ConfigGuard g;
+  mem::Config c = mem::config();
+  c.first_touch = false;
+  c.pool = false;  // a fresh block, so Touch runs
+  mem::set_config_for_testing(c);
+  constexpr std::size_t kBytes = 2u << 20;
+  const auto before = mem::stats();
+  bool other_sees_off = false;
+  std::thread([&] {
+    other_sees_off = !mem::config().first_touch;
+    void* p = mem::alloc(kBytes, mem::Init::Touch);
+    static_cast<unsigned char*>(p)[kBytes - 1] = 1;
+    mem::dealloc(p);
+  }).join();
+  EXPECT_TRUE(other_sees_off);
+  EXPECT_GE(mem::stats().bytes_first_touched,
+            before.bytes_first_touched + kBytes);
 }
 
 TEST(MemStream, ParallelFillWritesEveryElement) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -453,6 +454,40 @@ TEST(ParLoop, IndirectReadGather) {
                 op2::arg_indirect(vval, mesh.e2v, 1, op2::Acc::R));
   // All edges have diff 1 except the wrap-around edge (0 - 49 = -49).
   EXPECT_DOUBLE_EQ(ediff.sum(), 49.0 * 1.0 - 49.0);
+}
+
+TEST(ParLoop, FollowsTheAmbientLaunchParams) {
+  // An op2 loop takes no launch scope of its own: on every lowering its
+  // kernel runs under the process schedule, which it leaves unchanged.
+  namespace rt = syclport::rt;
+  const std::size_t n = 200;
+  RingMesh mesh(n);
+  for (const op2::Exec x :
+       {op2::Exec::Serial, op2::Exec::Threads, op2::Exec::Sycl})
+    for (const auto sched : {rt::Schedule::Static, rt::Schedule::Dynamic,
+                             rt::Schedule::Steal}) {
+      const rt::ScopedLaunchParams scope(sched, std::size_t{9});
+      op2::Context ctx(opts(Strategy::Atomics, x));
+      op2::Dat<double> vval(mesh.vertices, 1, "v");
+      op2::Dat<double> ediff(mesh.edges, 1, "d");
+      for (std::size_t v = 0; v < n; ++v) vval.at(v) = static_cast<double>(v);
+      std::atomic<std::size_t> other{0};
+      op2::par_loop(ctx, {"diff", 1.0}, mesh.edges,
+                    [&](double* d, const double* a, const double* b) {
+                      if (rt::launch_params().schedule != sched)
+                        other.fetch_add(1, std::memory_order_relaxed);
+                      d[0] = b[0] - a[0];
+                    },
+                    op2::arg_direct(ediff, op2::Acc::W),
+                    op2::arg_indirect(vval, mesh.e2v, 0, op2::Acc::R),
+                    op2::arg_indirect(vval, mesh.e2v, 1, op2::Acc::R));
+      EXPECT_EQ(other.load(), 0u)
+          << "exec " << static_cast<int>(x) << " " << rt::to_string(sched);
+      // n - 1 edges of +1 and the wrap-around edge of -(n - 1).
+      EXPECT_DOUBLE_EQ(ediff.sum(), 0.0);
+      EXPECT_EQ(rt::launch_params().schedule, sched);
+      EXPECT_EQ(rt::launch_params().grain, 9u);
+    }
 }
 
 TEST(ParLoop, GlobalReduction) {

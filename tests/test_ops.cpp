@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -12,9 +13,11 @@
 #include <vector>
 
 #include "ops/ops.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace ops = syclport::ops;
 namespace hw = syclport::hw;
+namespace rt = syclport::rt;
 
 namespace {
 
@@ -205,6 +208,57 @@ TEST_P(BackendSweep, BoundaryRangeWritesHalo) {
     // -2 column copied from column 0 via a(2,0) relative to i=-2.
     EXPECT_DOUBLE_EQ(f.at(j, -2), 10.0 + j);
   }
+}
+
+namespace {
+
+/// Runs one pointwise loop over a 9 x 13 grid and counts the points
+/// whose kernel call saw launch params other than `want`.
+std::size_t points_not_seeing(ops::Context& ctx, rt::LaunchParams want) {
+  ops::Block b(ctx, "grid", 2, {9, 13, 1});
+  ops::Dat<double> f(b, "f", 1, 1);
+  std::atomic<std::size_t> seen{0}, other{0};
+  ops::par_loop(ctx, {"probe"}, b, ops::Range::all(b),
+                [&](ops::ACC<double> a) {
+                  const rt::LaunchParams p = rt::launch_params();
+                  (p.schedule == want.schedule && p.grain == want.grain
+                       ? seen
+                       : other)
+                      .fetch_add(1, std::memory_order_relaxed);
+                  a(0, 0) = 1.0;
+                },
+                ops::arg(f, ops::S_PT, ops::Acc::W));
+  EXPECT_EQ(seen.load() + other.load(), 9u * 13u);
+  EXPECT_DOUBLE_EQ(f.interior_sum(), 9.0 * 13.0);
+  return other.load();
+}
+
+}  // namespace
+
+TEST_P(BackendSweep, OptionsScheduleAndGrainHoldForTheLoopOnly) {
+  const rt::LaunchParams before = rt::launch_params();
+  const rt::Schedule pinned = before.schedule == rt::Schedule::Static
+                                  ? rt::Schedule::Dynamic
+                                  : rt::Schedule::Static;
+  ops::Options o = exec_opts(GetParam());
+  o.schedule = pinned;
+  o.grain = before.grain + 47;
+  ops::Context ctx(o);
+  EXPECT_EQ(points_not_seeing(ctx, {pinned, before.grain + 47}), 0u)
+      << backend_name(GetParam());
+  EXPECT_EQ(rt::launch_params().schedule, before.schedule);
+  EXPECT_EQ(rt::launch_params().grain, before.grain);
+}
+
+TEST_P(BackendSweep, UnsetOptionsFollowTheAmbientLaunchParams) {
+  // With no Options::schedule/grain the loop, and the SYCL lowerings
+  // under it, launch with whatever the process params are.
+  rt::ScopedLaunchParams ambient(rt::Schedule::Dynamic, std::size_t{5});
+  ops::Context ctx(exec_opts(GetParam()));
+  EXPECT_EQ(points_not_seeing(ctx, {rt::Schedule::Dynamic, 5}), 0u)
+      << backend_name(GetParam());
+  EXPECT_EQ(rt::launch_params().schedule, rt::Schedule::Dynamic);
+  EXPECT_EQ(rt::launch_params().grain, 5u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendSweep,

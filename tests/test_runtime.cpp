@@ -123,6 +123,65 @@ TEST(ThreadPool, ScopedLaunchParamsRestores) {
   EXPECT_EQ(rt::launch_params().grain, before.grain);
 }
 
+TEST(ThreadPool, ScopedLaunchParamsRestoresWhenUnwound) {
+  const rt::LaunchParams before = rt::launch_params();
+  EXPECT_THROW(
+      {
+        rt::ScopedLaunchParams scope(rt::Schedule::Dynamic, std::size_t{33});
+        rt::ThreadPool pool(4);
+        pool.parallel_for(1000, [](std::size_t b, std::size_t) {
+          if (b == 0) throw std::runtime_error("kernel");
+        });
+      },
+      std::runtime_error);
+  EXPECT_EQ(rt::launch_params().schedule, before.schedule);
+  EXPECT_EQ(rt::launch_params().grain, before.grain);
+}
+
+TEST(ThreadPool, ZeroGrainClampsToOne) {
+  rt::ScopedLaunchParams scope(std::nullopt, std::size_t{0});
+  EXPECT_EQ(rt::launch_params().grain, 1u);
+  rt::ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(257);
+  pool.parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPool, LastStatsReportTheAmbientSchedule) {
+  rt::ThreadPool pool(4);
+  for (const auto sched : {rt::Schedule::Static, rt::Schedule::Dynamic,
+                           rt::Schedule::Steal}) {
+    rt::ScopedLaunchParams scope(sched, std::size_t{1});
+    pool.parallel_for(4096, [](std::size_t, std::size_t) {});
+    const rt::LaunchStats st = rt::ThreadPool::last_stats();
+    EXPECT_EQ(st.schedule, sched) << rt::to_string(sched);
+    EXPECT_GT(st.chunks, 0u) << rt::to_string(sched);
+  }
+}
+
+TEST(ThreadPool, ScopedGrainScaleDividesTheAmbientGrain) {
+  rt::ScopedLaunchParams scope(rt::Schedule::Static, std::size_t{100});
+  {
+    rt::ScopedGrainScale rows(8);
+    EXPECT_EQ(rt::launch_params().grain, 12u);
+    EXPECT_EQ(rt::launch_params().schedule, rt::Schedule::Static);
+    {
+      // Wider than the grain: a single iteration already covers it.
+      rt::ScopedGrainScale wide(1000);
+      EXPECT_EQ(rt::launch_params().grain, 1u);
+    }
+    EXPECT_EQ(rt::launch_params().grain, 12u);
+  }
+  {
+    rt::ScopedGrainScale none(0);  // zero-width items count as one
+    EXPECT_EQ(rt::launch_params().grain, 100u);
+  }
+  EXPECT_EQ(rt::launch_params().grain, 100u);
+}
+
 TEST(ThreadPool, EveryScheduleCoversAllChunksExactlyOnce) {
   for (const auto sched : {rt::Schedule::Static, rt::Schedule::Dynamic,
                            rt::Schedule::Steal}) {
@@ -473,6 +532,72 @@ TEST(BarrierGroup, ExceptionFromItem0AfterFibersStartedLeavesThreadClean) {
   EXPECT_FALSE(rt::run_barrier_group(n, [&](std::size_t i) { a[i] = 0; }));
 }
 
+TEST(BarrierGroup, ExceptionFromFiberItemUnwindsItemsSuspendedBeforeIt) {
+  // Item 2 throws on its way to the first barrier: item 1 already waits
+  // there and is cancelled, item 3 never starts. Every item that
+  // started unwinds, and none runs past the barrier.
+  int started = 0, unwound = 0, past_barrier = 0;
+  struct Unwind {
+    int* n;
+    ~Unwind() { ++*n; }
+  };
+  EXPECT_THROW(rt::run_barrier_group(4,
+                                     [&](std::size_t i) {
+                                       ++started;
+                                       Unwind u{&unwound};
+                                       if (i == 2)
+                                         throw std::runtime_error("item 2");
+                                       rt::group_barrier();
+                                       ++past_barrier;
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(started, 3);
+  EXPECT_EQ(unwound, 3);
+  EXPECT_EQ(past_barrier, 0);
+}
+
+TEST(BarrierGroup, ExceptionInALaterRoundUnwindsEveryItem) {
+  // Item 3 throws between the first and second barriers, after items 1
+  // and 2 have reached the second one: both are cancelled there.
+  int unwound = 0, past_second = 0;
+  struct Unwind {
+    int* n;
+    ~Unwind() { ++*n; }
+  };
+  EXPECT_THROW(rt::run_barrier_group(4,
+                                     [&](std::size_t i) {
+                                       Unwind u{&unwound};
+                                       rt::group_barrier();
+                                       if (i == 3)
+                                         throw std::runtime_error("item 3");
+                                       rt::group_barrier();
+                                       ++past_second;
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(unwound, 4);
+  EXPECT_EQ(past_second, 0);
+}
+
+TEST(BarrierGroup, CancellationIsNotCaughtAsAStdException) {
+  // A kernel that catches std::exception around its barrier must not
+  // swallow the cancellation and run on after its group failed.
+  int swallowed = 0, ran_on = 0;
+  EXPECT_THROW(rt::run_barrier_group(3,
+                                     [&](std::size_t i) {
+                                       try {
+                                         rt::group_barrier();
+                                       } catch (const std::exception&) {
+                                         ++swallowed;
+                                       }
+                                       if (i == 0)
+                                         throw std::runtime_error("item 0");
+                                       ++ran_on;
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(swallowed, 0);
+  EXPECT_EQ(ran_on, 0);
+}
+
 TEST(BarrierGroup, NestedGroupInsideWorkItem) {
   // Every item of an outer barrier group - item 0 on the caller's
   // stack, the others on fibers - runs an inner barrier group and then
@@ -540,6 +665,25 @@ TEST(FiberStackPool, BarrierFreeGroupsTakeNoStack) {
   const auto after = rt::fiber_stack_stats();
   EXPECT_EQ(after.allocated, before.allocated);
   EXPECT_EQ(after.reused, before.reused);
+}
+
+TEST(FiberStackPool, CancelledGroupsReturnTheirStacks) {
+  rt::run_barrier_group(4, [&](std::size_t) { rt::group_barrier(); });
+  const auto before = rt::fiber_stack_stats();
+  for (int round = 0; round < 10; ++round)
+    EXPECT_THROW(rt::run_barrier_group(4,
+                                       [&](std::size_t i) {
+                                         rt::group_barrier();
+                                         if (i == 0)
+                                           throw std::runtime_error("item 0");
+                                         rt::group_barrier();
+                                       }),
+                 std::runtime_error);
+  // Each cancelled group's three fibers unwound and gave their stacks
+  // back: the next round reused them, nothing new was allocated.
+  const auto after = rt::fiber_stack_stats();
+  EXPECT_EQ(after.allocated, before.allocated);
+  EXPECT_EQ(after.reused, before.reused + 30);
 }
 
 TEST(ThreadPool, ScopedSerialExecutionForcesInlineRuns) {

@@ -393,6 +393,97 @@ TEST(LaunchLog, DisabledLogRecordsNothing) {
   EXPECT_EQ(log.size(), 0u);
 }
 
+TEST(LaunchLog, EveryLoweringRecordsTheAmbientSchedule) {
+  // The lowerings take no launch scope of their own: flat, nd_range
+  // and both reduction forms launch with the process params, and leave
+  // them as they found them.
+  namespace rt = syclport::rt;
+  auto& log = sycl::launch_log::instance();
+  log.clear();
+  for (const auto sched :
+       {rt::Schedule::Static, rt::Schedule::Dynamic, rt::Schedule::Steal}) {
+    const rt::ScopedLaunchParams params(sched, std::size_t{3});
+    log.set_enabled(true);
+    sycl::queue q;
+    std::vector<double> v(32 * 16, 1.0);
+    double* p = v.data();
+    double flat_sum = 0.0, nd_sum = 0.0;
+    q.parallel_for("flat", sycl::range<2>(32, 16),
+                   [=](sycl::item<2> it) {
+                     p[it.get_linear_id()] *= 2.0;
+                   });
+    q.parallel_for("nd",
+                   sycl::nd_range<2>(sycl::range<2>(32, 16),
+                                     sycl::range<2>(4, 8)),
+                   [=](sycl::nd_item<2> it) {
+                     p[it.get_global_linear_id()] += 1.0;
+                   });
+    q.parallel_for("flat_red", sycl::range<2>(32, 16),
+                   sycl::reduction(&flat_sum, sycl::plus<double>{}),
+                   [=](sycl::item<2> it, auto& r) {
+                     r += p[it.get_linear_id()];
+                   });
+    q.parallel_for("nd_red",
+                   sycl::nd_range<1>(sycl::range<1>(512), sycl::range<1>(16)),
+                   sycl::reduction(&nd_sum, sycl::plus<double>{}),
+                   [=](sycl::nd_item<1> it, auto& r) {
+                     r += p[it.get_global_id(0)];
+                   });
+    log.set_enabled(false);
+    EXPECT_EQ(flat_sum, 3.0 * 512);
+    EXPECT_EQ(nd_sum, 3.0 * 512);
+    EXPECT_EQ(rt::launch_params().schedule, sched);
+    EXPECT_EQ(rt::launch_params().grain, 3u);
+    const auto recs = log.snapshot();
+    log.clear();
+    ASSERT_EQ(recs.size(), 4u);
+    for (const auto& rec : recs) {
+      EXPECT_EQ(rec.executor.schedule, sched)
+          << rec.kernel_name << " under " << rt::to_string(sched);
+      EXPECT_FALSE(rec.streaming) << rec.kernel_name;
+    }
+  }
+}
+
+TEST(LaunchLog, DiscardWriteLaunchPinsStaticForItsDurationOnly) {
+  // A launch whose only written accessor is discard_write streams: it
+  // runs on the static schedule whatever the ambient one, and the
+  // ambient schedule is back for the next launch.
+  namespace rt = syclport::rt;
+  const rt::ScopedLaunchParams params(rt::Schedule::Dynamic, std::nullopt);
+  auto& log = sycl::launch_log::instance();
+  log.clear();
+  log.set_enabled(true);
+  sycl::queue q;
+  std::vector<float> host(4096, -1.0f);
+  {
+    sycl::buffer<float, 1> buf(host.data(), sycl::range<1>(host.size()));
+    q.submit([&](sycl::handler& h) {
+      sycl::accessor<float, 1> out(buf, h, sycl::write_only, sycl::no_init);
+      h.parallel_for("fill", sycl::range<1>(host.size()),
+                     [=](sycl::item<1> it) {
+                       out[it.get_id()] = static_cast<float>(it.get_id(0));
+                     });
+    });
+    q.submit([&](sycl::handler& h) {
+      sycl::accessor<float, 1> io(buf, h, sycl::read_write);
+      h.parallel_for("scale", sycl::range<1>(host.size()),
+                     [=](sycl::item<1> it) { io[it.get_id()] *= 2.0f; });
+    });
+  }
+  log.set_enabled(false);
+  EXPECT_EQ(rt::launch_params().schedule, rt::Schedule::Dynamic);
+  for (std::size_t i = 0; i < host.size(); ++i)
+    ASSERT_EQ(host[i], 2.0f * static_cast<float>(i)) << "i=" << i;
+  const auto recs = log.snapshot();
+  log.clear();
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_TRUE(recs[0].streaming);
+  EXPECT_EQ(recs[0].executor.schedule, rt::Schedule::Static);
+  EXPECT_FALSE(recs[1].streaming);
+  EXPECT_EQ(recs[1].executor.schedule, rt::Schedule::Dynamic);
+}
+
 TEST(SingleTask, Runs) {
   sycl::queue q;
   int x = 0;
