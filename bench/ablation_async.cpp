@@ -1,6 +1,6 @@
 // Ablation: out-of-order queue scheduling (docs/queue.md).
 //
-// Three experiments on the miniSYCL DAG scheduler:
+// Two experiments on the miniSYCL DAG scheduler:
 //   1. independent - N command groups with disjoint footprints, each
 //      emulating a fixed-latency device kernel. An in-order queue pays
 //      N back-to-back latencies; the out-of-order queue keeps several
@@ -11,31 +11,20 @@
 //      The DAG must serialize them, so the out-of-order queue can win
 //      nothing; the per-launch difference against the in-order queue
 //      is the pure scheduling overhead of DAG bookkeeping.
-//   3. dist overlap - 2-rank distributed Jacobi sweeps, blocking
-//      (import halo, then sweep) vs overlapped (interior sweep runs as
-//      an asynchronous command while the halo receives drain).
 //
 // The command records in sycl::launch_log provide submit->start
 // latency and dependency-edge counts per command.
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <iostream>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/report.hpp"
 #include "core/timing.hpp"
-#include "ops/dist.hpp"
-#include "ops/ops.hpp"
 #include "sycl/sycl.hpp"
 
 using namespace syclport;
-namespace ops = syclport::ops;
-namespace dist = syclport::ops::dist;
-namespace mpi = syclport::mpi;
 
 namespace {
 
@@ -79,68 +68,10 @@ double run_chain(sycl::queue q) {
   return t.seconds();
 }
 
-struct DistResult {
-  double blocking_s = 0.0;
-  double overlap_s = 0.0;
-};
-
-DistResult run_dist(std::size_t n, int iters) {
-  DistResult res;
-  std::mutex mu;
-  mpi::run(2, [&](mpi::Comm& comm) {
-    dist::DistContext ctx(comm, 2);
-    dist::DistDat<double> a(ctx, {n, n, 1}, 1), b(ctx, {n, n, 1}, 1);
-    auto kernel = [](ops::ACC<double> out, ops::ACC<double> in) {
-      out(0, 0) = 0.25 * (in(1, 0) + in(-1, 0) + in(0, 1) + in(0, -1));
-    };
-    auto init = [](std::size_t i, std::size_t j, std::size_t) {
-      return std::sin(0.1 * static_cast<double>(i)) +
-             std::cos(0.2 * static_cast<double>(j));
-    };
-
-    auto blocking_iter = [&] {
-      dist::par_loop(ctx, kernel, dist::arg(b, ops::S_PT, ops::Acc::W),
-                     dist::arg(a, ops::S2D_5PT, ops::Acc::R));
-      std::swap(a.field().data, b.field().data);
-    };
-    auto overlap_iter = [&] {
-      dist::par_loop_overlap(ctx, kernel,
-                             dist::arg(b, ops::S_PT, ops::Acc::W),
-                             dist::arg(a, ops::S2D_5PT, ops::Acc::R));
-      std::swap(a.field().data, b.field().data);
-    };
-
-    // Warm caches, first-touch pages and the scheduler workers, then
-    // time both paths interleaved and keep the best of ten - the
-    // usual guard against timeslicing noise on a shared host.
-    a.init(init);
-    blocking_iter();
-    overlap_iter();
-    double blocking = 1e30, overlap = 1e30;
-    for (int rep = 0; rep < 10; ++rep) {
-      comm.barrier();
-      WallTimer tb;
-      for (int it = 0; it < iters; ++it) blocking_iter();
-      blocking = std::min(blocking, tb.seconds());
-      comm.barrier();
-      WallTimer to;
-      for (int it = 0; it < iters; ++it) overlap_iter();
-      overlap = std::min(overlap, to.seconds());
-    }
-
-    if (comm.rank() == 0) {
-      std::lock_guard lock(mu);
-      res.blocking_s = blocking;
-      res.overlap_s = overlap;
-    }
-  });
-  return res;
-}
-
 }  // namespace
 
 int main() {
-  std::cout << "=== Ablation: out-of-order queue / halo overlap ===\n\n";
+  std::cout << "=== Ablation: out-of-order queue ===\n\n";
   auto& sched = sycl::detail::Scheduler::instance();
   std::cout << "scheduler workers: " << sched.workers() << "\n\n";
 
@@ -213,33 +144,12 @@ int main() {
             << " us/launch DAG overhead, mean dep edges "
             << report::fmt(ch_edges, 2) << ")\n";
 
-  // 3. Distributed sweep: halo/compute overlap. par_loop_overlap picks
-  // its strategy from Scheduler::concurrency_available(): an async
-  // queue command on multi-core hosts, inline ordering (sends in
-  // flight during the interior sweep) on single-core ones where a
-  // worker handoff buys no wall-clock overlap.
-  const char* strategy =
-      sycl::detail::Scheduler::concurrency_available() ? "queue" : "inline";
-  const DistResult d = run_dist(/*n=*/512, /*iters=*/12);
-  t.add_row({"dist_jacobi", "blocking", "wall_ms",
-             report::fmt(d.blocking_s * 1e3, 3)});
-  t.add_row({"dist_jacobi", "overlap", "wall_ms",
-             report::fmt(d.overlap_s * 1e3, 3)});
-  t.add_row({"dist_jacobi", "overlap", "wall_ratio",
-             report::fmt(d.overlap_s / d.blocking_s, 3)});
-  t.add_row({"dist_jacobi", "overlap", "strategy", strategy});
-  std::cout << "2-rank Jacobi 512x512 x12: blocking "
-            << report::fmt(d.blocking_s * 1e3, 2) << " ms, overlapped "
-            << report::fmt(d.overlap_s * 1e3, 2) << " ms (ratio "
-            << report::fmt(d.overlap_s / d.blocking_s, 2)
-            << ", target <= 1.0, strategy " << strategy << ")\n";
-
   std::cout << "\n";
   t.render(std::cout);
   if (t.save_csv("ablation_async.csv"))
     std::cout << "\nwrote ablation_async.csv\n";
   std::cout << "(independent kernels overlap across scheduler workers; "
                "dependent chains degenerate to in-order plus bounded "
-               "bookkeeping; interior sweeps hide halo latency.)\n";
+               "bookkeeping.)\n";
   return 0;
 }

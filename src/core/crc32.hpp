@@ -1,12 +1,11 @@
 #pragma once
 /// \file crc32.hpp
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): the integrity
-/// tag used by every resilience path that persists or transports bytes
-/// - checkpoint files and mini-MPI payloads under
-/// fault injection. Header-only, table-driven, no dependencies; speed
-/// is irrelevant at the sizes involved (metadata and halo strips), the
-/// shared implementation is what matters: every layer tags and checks
-/// bytes the same way.
+/// tag of checkpoint files, also the hash behind captured loop chains'
+/// names (ops/dataflow.hpp). Header-only, table-driven, no
+/// dependencies; speed is irrelevant at the sizes involved (metadata
+/// and small snapshots), the shared implementation is what matters:
+/// every layer tags and checks bytes the same way.
 
 #include <array>
 #include <cstddef>

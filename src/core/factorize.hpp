@@ -1,8 +1,7 @@
 #pragma once
 /// \file factorize.hpp
-/// Near-balanced factorization of a rank count over 1-3 dimensions,
-/// shared by the MPI decomposition (minimpi) and the halo cost model
-/// (hwmodel).
+/// Near-balanced factorization of a rank count over 1-3 dimensions:
+/// the rank grid the halo cost model (hwmodel/comm_model) prices.
 
 #include <array>
 

@@ -1,8 +1,8 @@
 #pragma once
 /// \file reducer.hpp
 /// Deterministic blocked reductions, shared by every executed
-/// reduction: OPS and OP2 par_loops on every backend, the miniSYCL
-/// reduction launches, and the dist per-rank locals.
+/// reduction: OPS and OP2 par_loops on every backend and the miniSYCL
+/// reduction launches.
 ///
 /// A reduction is split into *index blocks* that depend only on the
 /// iteration space, never on the thread count, schedule, grain, steals

@@ -620,75 +620,4 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   std::apply([](const auto&... b) { (fold_elements(b), ...); }, binders);
 }
 
-/// par_loop over an explicit subset of `set`'s elements. The dist
-/// overlap path uses this to split owned edges into an interior sweep
-/// (run concurrently with the halo import) and a boundary sweep.
-/// Races between INC arguments are resolved by atomics only - a
-/// colouring plan would have to be rebuilt per subset, and the
-/// owner-compute pipeline this serves uses Atomics/None - so coloured
-/// strategies are rejected for parallel INC subsets. No LoopProfile is
-/// recorded: the subset is an execution detail of the enclosing loop.
-template <typename K, typename... Args>
-void par_loop_subset(Context& ctx, Meta meta, Set& set,
-                     std::span<const int> elems, K&& kernel, Args... args) {
-  if (elems.empty() || !ctx.executing()) return;
-  if (elems.size() > set.size())
-    throw std::invalid_argument("par_loop_subset: subset larger than set");
-
-  std::vector<detail::ArgInfo> infos{detail::arg_info(args)...};
-  for (const auto& i : infos)
-    if (!i.is_gbl && i.layout != Layout::AoS)
-      throw std::invalid_argument(
-          "par_loop_subset: non-AoS dats need the staged full-set loop");
-  const bool has_inc =
-      std::any_of(infos.begin(), infos.end(),
-                  [](const auto& i) { return i.acc == Acc::INC; });
-  // Staged has no subset lowering (its scratch arenas assume the full
-  // identity sweep); subsets fall back to the atomic increments the
-  // owner-compute pipeline was written for.
-  const bool atomic = has_inc && (ctx.opt.strategy == Strategy::Atomics ||
-                                  ctx.opt.strategy == Strategy::Staged);
-  if (has_inc && !atomic && ctx.opt.strategy != Strategy::None &&
-      ctx.opt.exec != Exec::Serial)
-    throw std::invalid_argument(
-        "par_loop_subset: INC needs Strategy::Atomics (or serial execution)");
-
-  auto binders = std::make_tuple(detail::make_binder(args, true)...);
-  if constexpr ((detail::is_gbl_arg<Args>::value || ...)) {
-    // Reduction blocks are 1024-runs of subset positions.
-    detail::blocked_sweep(
-        ctx, meta.name, binders, elems.size(),
-        [&](auto& views, std::size_t i) {
-          const auto e = static_cast<std::size_t>(elems[i]);
-          std::apply([&](auto&... b) { kernel(b.make(e, atomic)...); },
-                     views);
-        });
-  } else {
-    auto invoke = [&](std::size_t e) {
-      std::apply([&](const auto&... b) { kernel(b.make(e, atomic)...); },
-                 binders);
-    };
-
-    switch (ctx.opt.exec) {
-      case Exec::Serial:
-        for (int e : elems) invoke(static_cast<std::size_t>(e));
-        break;
-      case Exec::Threads:
-        rt::ThreadPool::global().parallel_for(
-            elems.size(), [&](std::size_t b, std::size_t e) {
-              for (std::size_t i = b; i < e; ++i)
-                invoke(static_cast<std::size_t>(elems[i]));
-            });
-        break;
-      case Exec::Sycl:
-        ctx.queue.parallel_for(meta.name, sycl::range<1>(elems.size()),
-                               [&](sycl::item<1> it) {
-                                 invoke(static_cast<std::size_t>(
-                                     elems[it.get_linear_id()]));
-                               });
-        break;
-    }
-  }
-}
-
 }  // namespace syclport::op2

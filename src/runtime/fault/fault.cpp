@@ -13,9 +13,8 @@ namespace syclport::rt::fault {
 namespace {
 
 constexpr std::array<std::string_view, kSiteCount> kSiteNames = {
-    "mem.alloc",    "mem.arena",   "pool.stall",  "sched.delay",
-    "sched.reorder", "sched.throw", "comm.drop",   "comm.dup",
-    "comm.corrupt", "comm.delay"};
+    "mem.alloc",   "mem.arena",     "pool.stall",
+    "sched.delay", "sched.reorder", "sched.throw"};
 
 /// How one site's entry decides whether an occurrence fires.
 struct Trigger {
@@ -55,13 +54,15 @@ PlanState& g_plan() {
   return x ^ (x >> 31);
 }
 
-/// Deterministic draw for (seed, site, stream, occurrence).
+/// Deterministic draw for (seed, site, occurrence). The third round
+/// mixes in a stream key that is always 0: it keeps every seed's
+/// decisions what they were when per-channel streams existed.
 [[nodiscard]] std::uint64_t draw(std::uint64_t seed, Site site,
-                                 std::uint64_t stream,
                                  std::uint64_t occurrence) noexcept {
+  constexpr std::uint64_t kStream = 0;
   std::uint64_t h = splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5ull);
   h = splitmix64(h ^ (static_cast<std::uint64_t>(site) + 1));
-  h = splitmix64(h ^ stream);
+  h = splitmix64(h ^ kStream);
   h = splitmix64(h ^ occurrence);
   return h;
 }
@@ -158,12 +159,11 @@ PlanState& g_plan() {
 }
 
 [[nodiscard]] Roll decide_locked(PlanState& plan, Site site,
-                                 std::uint64_t stream,
                                  std::uint64_t occurrence) noexcept {
   const auto s = static_cast<std::size_t>(site);
   const Trigger& t = plan.triggers[s];
   Roll r;
-  r.value = draw(plan.seed, site, stream, occurrence);
+  r.value = draw(plan.seed, site, occurrence);
   switch (t.kind) {
     case Trigger::Kind::Off:
       return r;
@@ -220,14 +220,7 @@ Roll roll(Site site) noexcept {
   std::lock_guard lock(g_mu());
   PlanState& plan = g_plan();
   const auto s = static_cast<std::size_t>(site);
-  return decide_locked(plan, site, /*stream=*/0, ++plan.occurrence[s]);
-}
-
-Roll roll_stream(Site site, std::uint64_t stream,
-                 std::uint64_t occurrence) noexcept {
-  if (!armed()) return {};
-  std::lock_guard lock(g_mu());
-  return decide_locked(g_plan(), site, stream, occurrence);
+  return decide_locked(plan, site, ++plan.occurrence[s]);
 }
 
 void inject_sleep(std::uint64_t value, std::uint64_t min_us,

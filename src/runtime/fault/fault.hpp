@@ -4,11 +4,11 @@
 ///
 /// The study's credibility rests on long bandwidth-bound runs surviving
 /// thousands of launches across the executor, the out-of-order
-/// scheduler, the pooled memory subsystem and the simulated-MPI halo
-/// exchanges. This module makes their failure story *testable*: a
-/// `Plan` (seeded PRNG plus per-site triggers, parsed from
-/// `SYCLPORT_FAULT=seed:spec`) decides, reproducibly, which occurrence
-/// of which instrumented site misbehaves. The sites cover:
+/// scheduler and the pooled memory subsystem. This module makes their
+/// failure story *testable*: a `Plan` (seeded PRNG plus per-site
+/// triggers, parsed from `SYCLPORT_FAULT=seed:spec`) decides,
+/// reproducibly, which occurrence of which instrumented site
+/// misbehaves. The sites cover:
 ///
 ///   mem.alloc     allocation failure (simulated upstream bad_alloc)
 ///   mem.arena     arena-cap pressure (pool bypassed for the request)
@@ -16,10 +16,6 @@
 ///   sched.delay   delayed command completion in the OoO scheduler
 ///   sched.reorder ready-queue reordering (DAG edges still honoured)
 ///   sched.throw   kernel-thrown exception inside a command
-///   comm.drop     halo message lost on the wire
-///   comm.dup      halo message delivered twice
-///   comm.corrupt  halo payload bit-flipped in transit
-///   comm.delay    halo message delivered late
 ///
 /// Spec grammar (docs/resilience.md):
 ///   SYCLPORT_FAULT = <seed> ':' <entry> (',' <entry>)*
@@ -31,11 +27,9 @@
 /// total injections of the entry (so recovery proofs converge).
 /// A malformed value warns once (rt::env) and disarms the layer.
 ///
-/// Determinism: comm decisions key on (source, destination, tag,
-/// sequence-number) and are exactly reproducible for a given seed
-/// regardless of thread interleaving; the other sites key on a per-site
-/// occurrence counter, so the n-th occurrence always gets the same
-/// decision even when thread timing shuffles which call is n-th.
+/// Determinism: every site keys on a per-site occurrence counter, so
+/// the n-th occurrence always gets the same decision for a given seed
+/// even when thread timing shuffles which call is n-th.
 ///
 /// Zero cost when unset: every instrumented site guards on `armed()`,
 /// a single relaxed atomic-bool load (verified against
@@ -59,12 +53,8 @@ enum class Site : std::uint8_t {
   SchedDelay,
   SchedReorder,
   SchedThrow,
-  CommDrop,
-  CommDup,
-  CommCorrupt,
-  CommDelay,
 };
-inline constexpr std::size_t kSiteCount = 10;
+inline constexpr std::size_t kSiteCount = 6;
 
 [[nodiscard]] const char* to_string(Site s) noexcept;
 [[nodiscard]] std::optional<Site> site_from_string(std::string_view name);
@@ -97,13 +87,6 @@ struct Roll {
 /// trigger; respects the entry's injection cap.
 [[nodiscard]] Roll roll(Site site) noexcept;
 
-/// Fully deterministic decision for streamed sites: the occurrence is
-/// identified by (stream, occurrence) - mini-MPI uses (src, dst, tag)
-/// as the stream and the message sequence number as the occurrence -
-/// so the decision is independent of thread interleaving.
-[[nodiscard]] Roll roll_stream(Site site, std::uint64_t stream,
-                               std::uint64_t occurrence) noexcept;
-
 /// Sleep for a short, bounded, deterministic interval derived from a
 /// Roll's value: `value % (max_us - min_us) + min_us` microseconds.
 /// Used by the stall/delay sites.
@@ -111,8 +94,8 @@ void inject_sleep(std::uint64_t value, std::uint64_t min_us,
                   std::uint64_t max_us) noexcept;
 
 /// Record a successful recovery from an injected (or real) fault at
-/// `site` - the pool falling back to a direct allocation, a halo
-/// retransmit, a checkpoint rollback.
+/// `site` - the pool falling back to a direct allocation, or serving a
+/// request past arena pressure.
 void note_recovered(Site site) noexcept;
 
 /// Cumulative injection/recovery telemetry (relaxed counters).

@@ -170,16 +170,6 @@ class Scheduler {
   /// True iff the calling thread is currently executing a command.
   [[nodiscard]] static bool on_worker() noexcept;
 
-  /// True when handing a command to a scheduler worker can overlap with
-  /// host-side work in wall-clock terms, i.e. the machine has more than
-  /// one hardware thread. On a single-core host the handoff pays two
-  /// context switches with nothing to hide, so callers structuring
-  /// compute/communication overlap should prefer an inline ordering
-  /// there (the dist par_loop_overlap layers do). The environment
-  /// variable SYCLPORT_OVERLAP=queue|inline overrides the detection,
-  /// which tests use to pin one strategy.
-  [[nodiscard]] static bool concurrency_available() noexcept;
-
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;

@@ -459,9 +459,10 @@ class handler {
   }
 
   /// Footprint declaration for raw (USM / wrapped host) memory, which
-  /// has no accessor to speak for it. The DSL overlap paths use this to
-  /// declare per-dat footprints so commands from different minimpi
-  /// ranks stay independent.
+  /// has no accessor to speak for it. A command group that declares
+  /// the pointers it touches goes into the scheduler's DAG, ordered only
+  /// against commands on the same pointers, instead of draining the
+  /// queue and running inline.
   void require(const void* ptr, access_mode mode) {
     register_access(ptr, mode);
   }

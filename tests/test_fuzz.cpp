@@ -1,7 +1,7 @@
 // Randomized property tests across the stack: arbitrary nd_range
 // shapes, random stencil footprints against the closed-form transfer
-// formula, mini-MPI message storms, fiber stress, and random loop
-// chains - the "does it hold for inputs nobody hand-picked" layer.
+// formula, fiber stress, random loop chains and random out-of-order
+// command chains - the "does it hold for inputs nobody hand-picked" layer.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "hwmodel/energy.hpp"
-#include "minimpi/comm.hpp"
 #include "ops/loop_chain.hpp"
 #include "ops/ops.hpp"
 #include "runtime/fiber.hpp"
@@ -20,7 +19,6 @@
 #include "sycl/sycl.hpp"
 
 namespace ops = syclport::ops;
-namespace mpi = syclport::mpi;
 namespace rt = syclport::rt;
 namespace hw = syclport::hw;
 
@@ -88,38 +86,6 @@ TEST(Fuzz, RandomStencilFootprintsMatchClosedForm) {
     EXPECT_EQ(lp.radius_mid, ry);
     EXPECT_EQ(lp.radius_slow, rz);
   }
-}
-
-TEST(Fuzz, MiniMpiMessageStorm) {
-  // Every rank sends a random number of tagged messages to every other
-  // rank; all must arrive intact and in per-(src,tag) order.
-  const int nranks = 5;
-  mpi::run(nranks, [&](mpi::Comm& c) {
-    std::mt19937 rng(100 + static_cast<unsigned>(c.rank()));
-    std::vector<int> sent_counts(nranks, 0);
-    for (int dst = 0; dst < nranks; ++dst) {
-      if (dst == c.rank()) continue;
-      const int n = 1 + static_cast<int>(rng() % 20);
-      sent_counts[dst] = n;
-      for (int m = 0; m < n; ++m) {
-        const int payload = c.rank() * 10000 + m;
-        c.send(dst, /*tag=*/c.rank(), payload);
-      }
-    }
-    // Tell everyone how many to expect.
-    for (int dst = 0; dst < nranks; ++dst)
-      if (dst != c.rank()) c.send(dst, 999, sent_counts[dst]);
-    for (int src = 0; src < nranks; ++src) {
-      if (src == c.rank()) continue;
-      int expect = 0;
-      c.recv(src, 999, expect);
-      for (int m = 0; m < expect; ++m) {
-        int payload = -1;
-        c.recv(src, /*tag=*/src, payload);
-        ASSERT_EQ(payload, src * 10000 + m);  // FIFO per (src, tag)
-      }
-    }
-  });
 }
 
 TEST(Fuzz, FiberBarrierStress) {

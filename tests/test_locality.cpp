@@ -358,18 +358,6 @@ TEST(LocalityStaged, IndirectWriteRejected) {
       std::invalid_argument);
 }
 
-TEST(LocalityStaged, SubsetLoopRejectsNonAoS) {
-  op2::Set verts("n", 16);
-  op2::Context ctx(opts(Strategy::Atomics, op2::Exec::Serial));
-  op2::Dat<double> x(verts, 1, "x");
-  x.set_layout(op2::Layout::SoA);
-  const std::vector<int> subset{0, 1, 2};
-  EXPECT_THROW(op2::par_loop_subset(ctx, {"sub"}, verts, subset,
-                                    [](double* v) { v[0] = 1.0; },
-                                    op2::arg_direct(x, op2::Acc::W)),
-               std::invalid_argument);
-}
-
 TEST(LocalityStaged, StagedProfileRecordsTwoLaunchesNoAtomics) {
   GridMesh mesh(10, 10);
   op2::Context ctx(opts(Strategy::Staged, op2::Exec::Serial));

@@ -503,31 +503,6 @@ TEST(ParLoop, GlobalReduction) {
   EXPECT_DOUBLE_EQ(total, 32.0);
 }
 
-TEST(ParLoop, SubsetWithGlobalReduction) {
-  // Every third element of 3000, so the subset spans several
-  // reduction blocks; integer values keep every sum exact.
-  op2::Set s("s", 3000);
-  op2::Dat<double> d(s, 1, "d");
-  std::vector<int> elems;
-  double expect = 0.0;
-  for (std::size_t e = 0; e < s.size(); ++e) {
-    d.at(e) = static_cast<double>(e);
-    if (e % 3 == 0) {
-      elems.push_back(static_cast<int>(e));
-      expect += static_cast<double>(e);
-    }
-  }
-  for (op2::Exec x : {op2::Exec::Serial, op2::Exec::Threads, op2::Exec::Sycl}) {
-    op2::Context ctx(opts(Strategy::Atomics, x));
-    double sum = 0.0;
-    op2::par_loop_subset(
-        ctx, {"subset_sum"}, s, elems,
-        [](const double* v, op2::Reducer<double> r) { r += v[0]; },
-        op2::arg_direct(d, op2::Acc::R), op2::arg_gbl(sum, op2::RedOp::Sum));
-    EXPECT_EQ(sum, expect);
-  }
-}
-
 TEST(Profiles, EdgeLoopAccountsDatsMapsOnce) {
   GridMesh mesh(10, 10);
   op2::Context ctx(opts(Strategy::Atomics));
