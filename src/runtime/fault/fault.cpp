@@ -55,14 +55,13 @@ PlanState& g_plan() {
 }
 
 /// Deterministic draw for (seed, site, occurrence). The third round
-/// mixes in a stream key that is always 0: it keeps every seed's
-/// decisions what they were when per-channel streams existed.
+/// hashes a constant 0 stream key: the baked-in chaos seeds depend on
+/// this exact chain (FaultPlan.ProbabilityDrawsMatchPinnedSchedule).
 [[nodiscard]] std::uint64_t draw(std::uint64_t seed, Site site,
                                  std::uint64_t occurrence) noexcept {
-  constexpr std::uint64_t kStream = 0;
   std::uint64_t h = splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5ull);
   h = splitmix64(h ^ (static_cast<std::uint64_t>(site) + 1));
-  h = splitmix64(h ^ kStream);
+  h = splitmix64(h);  // stream key 0
   h = splitmix64(h ^ occurrence);
   return h;
 }

@@ -75,8 +75,8 @@ extern std::atomic<bool> g_armed;
 }
 
 /// One injection decision. `value` is a deterministic 64-bit draw the
-/// site may use to derive magnitudes (delay lengths, which bit to
-/// flip) so those are reproducible too.
+/// site may use to derive magnitudes (delay lengths) so those are
+/// reproducible too.
 struct Roll {
   bool fire = false;
   std::uint64_t value = 0;

@@ -1,14 +1,21 @@
 // Unit tests for src/core: types, statistics, PP metric, support matrix,
-// report rendering, blocked reductions.
+// report rendering, blocked reductions, CRC-32 and the rank-grid
+// factorization.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/crc32.hpp"
+#include "core/factorize.hpp"
 #include "core/pp_metric.hpp"
 #include "core/reducer.hpp"
 #include "core/report.hpp"
@@ -310,4 +317,122 @@ TEST(ReduceBlocks, ElementSlotsFoldLikeBlockedSweep) {
   for (std::size_t i = x.size(); i-- > 0;) t.make(i) += x[i];  // any order
   t.fold_elements();
   EXPECT_EQ(std::memcmp(&blocked, &slotted, sizeof(double)), 0);
+}
+
+TEST(Crc32, MatchesTheStandardCheckValues) {
+  // The CRC-32/ISO-HDLC catalogue check value, and a second well-known
+  // vector, pin the polynomial, reflection and final xor together.
+  const char digits[] = "123456789";
+  EXPECT_EQ(sp::crc32(digits, 9), 0xCBF43926u);
+  const char fox[] = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(sp::crc32(fox, sizeof(fox) - 1), 0x414FA339u);
+}
+
+TEST(Crc32, EmptyInputLeavesTheSeedUnchanged) {
+  EXPECT_EQ(sp::crc32(nullptr, 0), 0u);
+  EXPECT_EQ(sp::crc32_update(0xCBF43926u, nullptr, 0), 0xCBF43926u);
+}
+
+TEST(Crc32, TableIsTheReflectedIeeePolynomial) {
+  const auto& t = sp::detail::kCrc32Table;
+  EXPECT_EQ(t[0], 0u);
+  EXPECT_EQ(t[1], 0x77073096u);
+  EXPECT_EQ(t[2], 0xEE0E612Cu);
+  EXPECT_EQ(t[128], 0xEDB88320u);
+  EXPECT_EQ(t[255], 0x2D02EF8Du);
+}
+
+TEST(Crc32, IncrementalUpdateMatchesOneShotAtEverySplit) {
+  // Checkpoints tag regions chunk by chunk: any split of a stream must
+  // give the one-shot tag.
+  std::vector<unsigned char> bytes(97);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  const std::uint32_t whole = sp::crc32(bytes.data(), bytes.size());
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const std::uint32_t head = sp::crc32_update(0, bytes.data(), cut);
+    EXPECT_EQ(sp::crc32_update(head, bytes.data() + cut, bytes.size() - cut),
+              whole)
+        << "split at " << cut;
+  }
+}
+
+TEST(Crc32, EverySingleBitFlipChangesTheTag) {
+  // What checkpoint verification relies on: a CRC detects every
+  // one-bit corruption of the tagged bytes.
+  std::vector<unsigned char> bytes(64);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>(i ^ 0x5A);
+  const std::uint32_t clean = sp::crc32(bytes.data(), bytes.size());
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] ^= static_cast<unsigned char>(1u << bit);
+      EXPECT_NE(sp::crc32(bytes.data(), bytes.size()), clean)
+          << "byte " << i << " bit " << bit;
+      bytes[i] ^= static_cast<unsigned char>(1u << bit);
+    }
+  }
+}
+
+namespace {
+
+struct FactorCase {
+  int n;
+  int dims;
+  std::array<int, 3> grid;  ///< the greedy split comm_model prices
+};
+
+class BalancedFactors : public ::testing::TestWithParam<FactorCase> {};
+
+}  // namespace
+
+TEST_P(BalancedFactors, ProductIsTheRankCountAndGridIsPinned) {
+  const FactorCase c = GetParam();
+  const auto g = sp::balanced_factors(c.n, c.dims);
+  EXPECT_EQ(g, c.grid);
+  EXPECT_EQ(g[0] * g[1] * g[2], std::max(1, c.n));
+  for (int d = 0; d < 3; ++d) {
+    EXPECT_GE(g[static_cast<std::size_t>(d)], 1);
+    if (d >= c.dims) {
+      EXPECT_EQ(g[static_cast<std::size_t>(d)], 1) << "dim " << d;
+    }
+  }
+}
+
+// Prime factors in ascending order, each onto the first smallest
+// dimension. The rank counts of the paper's CPUs (72, 176, 64 cores;
+// 2 and 4 NUMA domains) are in the table, with the degenerate inputs.
+INSTANTIATE_TEST_SUITE_P(
+    Factorize, BalancedFactors,
+    ::testing::Values(
+        FactorCase{1, 3, {1, 1, 1}}, FactorCase{0, 2, {1, 1, 1}},
+        FactorCase{-5, 3, {1, 1, 1}}, FactorCase{7, 3, {7, 1, 1}},
+        FactorCase{2, 3, {2, 1, 1}}, FactorCase{4, 3, {2, 2, 1}},
+        FactorCase{12, 2, {6, 2, 1}}, FactorCase{12, 3, {2, 2, 3}},
+        FactorCase{56, 2, {4, 14, 1}}, FactorCase{64, 2, {8, 8, 1}},
+        FactorCase{64, 3, {4, 4, 4}}, FactorCase{72, 2, {12, 6, 1}},
+        FactorCase{72, 3, {6, 6, 2}}, FactorCase{108, 3, {6, 6, 3}},
+        FactorCase{110, 3, {2, 5, 11}}, FactorCase{176, 1, {176, 1, 1}},
+        FactorCase{176, 3, {4, 22, 2}}),
+    [](const auto& ti) {
+      const int n = ti.param.n;
+      return (n < 0 ? "minus" + std::to_string(-n) : "n" + std::to_string(n)) +
+             "_d" + std::to_string(ti.param.dims);
+    });
+
+TEST(BalancedFactorsProperty, PrimePowersSplitEvenly) {
+  // n = p^(k*dims): the greedy deals the equal factors round-robin.
+  for (int p : {2, 3, 5}) {
+    for (int dims = 1; dims <= 3; ++dims) {
+      for (int k = 1; k <= 2; ++k) {
+        int n = 1, side = 1;
+        for (int i = 0; i < k; ++i) side *= p;
+        for (int d = 0; d < dims; ++d) n *= side;
+        const auto g = sp::balanced_factors(n, dims);
+        for (int d = 0; d < dims; ++d)
+          EXPECT_EQ(g[static_cast<std::size_t>(d)], side)
+              << "p=" << p << " dims=" << dims << " k=" << k;
+      }
+    }
+  }
 }

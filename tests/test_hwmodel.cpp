@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cctype>
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "hwmodel/comm_model.hpp"
@@ -455,3 +458,87 @@ TEST(Quirks, SpeedupQuirksExistForA100Mgcfd) {
                              hw::KernelClass::EdgeFlux),
             1.0);
 }
+
+namespace {
+
+class CommModelOn : public ::testing::TestWithParam<PlatformId> {};
+
+/// Messages the busiest rank sends per exchange: two per decomposed
+/// dimension of the rank grid.
+int halo_messages(int ranks, int dims) {
+  const auto g = hw::rank_grid(ranks, dims);
+  int m = 0;
+  for (int d = 0; d < dims; ++d)
+    if (g[static_cast<std::size_t>(d)] >= 2) m += 2;
+  return m;
+}
+
+double latency_s(const hw::Platform& p, int ranks, int dims) {
+  return halo_messages(ranks, dims) * hw::comm_params(p).latency_us * 1e-6;
+}
+
+}  // namespace
+
+TEST_P(CommModelOn, PureMpiRunsARankPerCoreAndHybridARankPerNumaDomain) {
+  const PlatformId id = GetParam();
+  const hw::Platform& p = hw::platform(id);
+  EXPECT_EQ(hw::ranks_for(id, {Model::MPI, Toolchain::Native}), p.cores);
+  EXPECT_EQ(hw::ranks_for(id, {Model::MPI_OpenMP, Toolchain::Native}),
+            std::max(1, p.numa_domains));
+  for (Model m : {Model::OpenMP, Model::CUDA, Model::HIP, Model::OpenMPOffload,
+                  Model::SYCLFlat, Model::SYCLNDRange})
+    EXPECT_EQ(hw::ranks_for(id, {m, Toolchain::Native}), 1)
+        << syclport::to_string(m);
+}
+
+TEST_P(CommModelOn, SingleRankAndZeroDepthExchangeNothing) {
+  const hw::Platform& p = hw::platform(GetParam());
+  for (int dims = 1; dims <= 3; ++dims) {
+    EXPECT_EQ(hw::halo_exchange_time_s(p, 1, dims, {256, 256, 256}, 4, 8), 0.0);
+    EXPECT_EQ(hw::halo_exchange_time_s(p, 0, dims, {256, 256, 256}, 4, 8), 0.0);
+    EXPECT_EQ(
+        hw::halo_exchange_time_s(p, p.cores, dims, {256, 256, 256}, 0, 8), 0.0);
+  }
+}
+
+TEST_P(CommModelOn, ExchangeIsPerMessageLatencyPlusWireTimeLinearInPayload) {
+  // Halo bytes are depth x point bytes per face point, so the wire term
+  // is linear in both; what is left over is one latency per message.
+  const hw::Platform& p = hw::platform(GetParam());
+  const int ranks = p.cores;
+  const std::array<std::size_t, 3> ext{320, 320, 320};
+  const double lat = latency_s(p, ranks, 3);
+  EXPECT_GT(lat, 0.0);
+  EXPECT_DOUBLE_EQ(hw::halo_exchange_time_s(p, ranks, 3, ext, 1, 0), lat);
+  const double wire1 = hw::halo_exchange_time_s(p, ranks, 3, ext, 1, 8) - lat;
+  ASSERT_GT(wire1, 0.0);
+  EXPECT_NEAR(hw::halo_exchange_time_s(p, ranks, 3, ext, 4, 8) - lat,
+              4.0 * wire1, 1e-9 * wire1);
+  EXPECT_NEAR(hw::halo_exchange_time_s(p, ranks, 3, ext, 1, 16) - lat,
+              2.0 * wire1, 1e-9 * wire1);
+}
+
+TEST_P(CommModelOn, WireTimeScalesWithTheFaceArea) {
+  // Doubling every extent doubles a 2D face (a line) and quadruples a
+  // 3D face (a plane); the message count does not change.
+  const hw::Platform& p = hw::platform(GetParam());
+  const int ranks = p.cores;
+  for (int dims = 2; dims <= 3; ++dims) {
+    const double lat = latency_s(p, ranks, dims);
+    const double small =
+        hw::halo_exchange_time_s(p, ranks, dims, {128, 128, 128}, 2, 8) - lat;
+    const double big =
+        hw::halo_exchange_time_s(p, ranks, dims, {256, 256, 256}, 2, 8) - lat;
+    const double factor = dims == 2 ? 2.0 : 4.0;
+    EXPECT_NEAR(big, factor * small, 1e-9 * big) << dims << "D";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Platforms, CommModelOn, ::testing::ValuesIn(syclport::kAllPlatforms),
+    [](const auto& ti) {
+      std::string name;
+      for (char c : syclport::to_string(ti.param))
+        if (std::isalnum(static_cast<unsigned char>(c))) name += c;
+      return name;
+    });

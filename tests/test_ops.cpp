@@ -261,6 +261,85 @@ TEST_P(BackendSweep, UnsetOptionsFollowTheAmbientLaunchParams) {
   EXPECT_EQ(rt::launch_params().grain, 5u);
 }
 
+TEST_P(BackendSweep, IteratedJacobiOnAwkwardExtentsIsBitIdenticalToSerial) {
+  // Extents no chunking divides evenly, and a result fed back into the
+  // next sweep: every backend must reproduce the serial bits.
+  auto run = [](ops::Backend be) {
+    ops::Context ctx(exec_opts(be));
+    ops::Block b(ctx, "grid", 2, {23, 19, 1});
+    ops::Dat<double> u(b, "u", 1, 1), v(b, "v", 1, 1);
+    for (long j = 0; j < 23; ++j)
+      for (long i = 0; i < 19; ++i)
+        u.at(j, i) = std::sin(0.37 * static_cast<double>(i)) +
+                     std::cos(0.23 * static_cast<double>(j));
+    auto sweep = [&](ops::Dat<double>& out, ops::Dat<double>& in) {
+      ops::par_loop(ctx, {"jacobi", hw::KernelClass::Interior, 4.0}, b,
+                    ops::Range::all(b),
+                    [](ops::ACC<double> o, ops::ACC<double> a) {
+                      o(0, 0) = 0.25 * (a(1, 0) + a(-1, 0) + a(0, 1) +
+                                        a(0, -1));
+                    },
+                    ops::arg(out, ops::S_PT, ops::Acc::W),
+                    ops::arg(in, ops::S2D_5PT, ops::Acc::R));
+    };
+    for (int it = 0; it < 3; ++it) {
+      sweep(v, u);
+      sweep(u, v);
+    }
+    std::vector<double> vals;
+    for (long j = 0; j < 23; ++j)
+      for (long i = 0; i < 19; ++i) vals.push_back(u.at(j, i));
+    return vals;
+  };
+  const auto ref = run(ops::Backend::Serial);
+  const auto got = run(GetParam());
+  ASSERT_EQ(got.size(), ref.size());
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)), 0)
+      << backend_name(GetParam());
+}
+
+TEST_P(BackendSweep, RadiusTwoStencilReadsTheDeepHalo) {
+  // in = i + j everywhere, halo included, so out = in(2,0) + in(-2,0)
+  // = 2 (i + j) at every point only if the edge points read halo depth 2.
+  ops::Context ctx(exec_opts(GetParam()));
+  ops::Block b(ctx, "grid", 2, {16, 13, 1});
+  ops::Dat<double> in(b, "in", 1, 2), out(b, "out", 1, 2);
+  for (long j = -2; j < 18; ++j)
+    for (long i = -2; i < 15; ++i) in.at(j, i) = static_cast<double>(i + j);
+  ops::par_loop(ctx, {"deep"}, b, ops::Range::all(b),
+                [](ops::ACC<double> o, ops::ACC<double> a) {
+                  o(0, 0) = a(2, 0) + a(-2, 0);
+                },
+                ops::arg(out, ops::S_PT, ops::Acc::W),
+                ops::arg(in, ops::Stencil{2, 0, 0, 3}, ops::Acc::R));
+  for (long j = 0; j < 16; ++j)
+    for (long i = 0; i < 13; ++i)
+      ASSERT_EQ(out.at(j, i), 2.0 * static_cast<double>(i + j))
+          << backend_name(GetParam()) << " at " << j << "," << i;
+}
+
+TEST_P(BackendSweep, OnlyMpiBackendsKeepTheHaloProfile) {
+  // Every backend records the stencil footprint; only the MPI ones keep
+  // the halo needs the study prices with hwmodel/comm_model.
+  ops::Context ctx(exec_opts(GetParam()));
+  ops::Block b(ctx, "grid", 2, {16, 16, 1});
+  ops::Dat<double> in(b, "in", 1, 2), out(b, "out", 1, 2);
+  ops::par_loop(ctx, {"r2"}, b, ops::Range::all(b),
+                [](ops::ACC<double> o, ops::ACC<double> a) {
+                  o(0, 0) = a(0, 2) + a(0, -2);
+                },
+                ops::arg(out, ops::S_PT, ops::Acc::W),
+                ops::arg(in, ops::star(2, 2), ops::Acc::R));
+  ASSERT_EQ(ctx.profiles.size(), 1u);
+  const auto& lp = ctx.profiles[0];
+  EXPECT_EQ(lp.radius_fast, 2);
+  EXPECT_EQ(lp.radius_mid, 2);
+  const bool mpi = GetParam() == ops::Backend::MPI ||
+                   GetParam() == ops::Backend::MPIThreads;
+  EXPECT_EQ(lp.halo_depth, mpi ? 2 : 0);
+  EXPECT_DOUBLE_EQ(lp.halo_point_bytes, mpi ? 8.0 : 0.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendSweep,
                          ::testing::ValuesIn(kBackends),
                          [](const auto& ti) {
@@ -593,3 +672,88 @@ TEST(SyclNd, MaskedPaddingDoesNotWriteOutOfRange) {
   EXPECT_DOUBLE_EQ(f.at(-1, -1), 0.0);
   EXPECT_DOUBLE_EQ(f.at(10, 13), 0.0);
 }
+
+// --- halo profile under the MPI backends ------------------------------------
+
+namespace {
+
+class MpiHaloProfile : public ::testing::TestWithParam<ops::Backend> {};
+
+}  // namespace
+
+TEST_P(MpiHaloProfile, DepthIsTheWidestReadRadiusInAnyDirection) {
+  ops::Context ctx(exec_opts(GetParam()));
+  ops::Block b(ctx, "grid", 3, {12, 12, 12});
+  ops::Dat<double> a(b, "a", 1, 3), c(b, "c", 1, 3), out(b, "out", 1, 3);
+  // Anisotropic: radius 3 only along the slowest dimension.
+  ops::par_loop(ctx, {"aniso"}, b, ops::Range::all(b),
+                [](ops::ACC<double> o, ops::ACC<double> x, ops::ACC<double> y) {
+                  o(0, 0, 0) = x(1, 0, 0) + y(0, 0, 3) + y(0, 0, -3);
+                },
+                ops::arg(out, ops::S_PT, ops::Acc::W),
+                ops::arg(a, ops::S3D_7PT, ops::Acc::R),
+                ops::arg(c, ops::Stencil{0, 0, 3, 3}, ops::Acc::R));
+  ASSERT_EQ(ctx.profiles.size(), 1u);
+  EXPECT_EQ(ctx.profiles[0].halo_depth, 3);
+  EXPECT_EQ(ctx.profiles[0].radius_slow, 3);
+  EXPECT_EQ(ctx.profiles[0].radius_fast, 1);
+}
+
+TEST_P(MpiHaloProfile, PointBytesCountOnlyStencilReads) {
+  // Exchanged per halo point: every dat read through a stencil wider
+  // than a point, at its full component count. Point reads, writes and
+  // reductions exchange nothing.
+  ops::Context ctx(exec_opts(GetParam()));
+  ops::Block b(ctx, "grid", 2, {10, 10, 1});
+  ops::Dat<double> vec(b, "vec", 3, 1), pt(b, "pt", 1, 1), w(b, "w", 1, 1);
+  ops::Dat<float> rw(b, "rw", 1, 1);
+  double sum = 0.0;
+  ops::par_loop(ctx, {"mix"}, b, ops::Range::all(b),
+                [](ops::ACC<double> o, ops::ACC<double> v, ops::ACC<double> p,
+                   ops::ACC<float> f, ops::Reducer<double> r) {
+                  o(0, 0) = v.comp(0, 1, 0) + v.comp(2, -1, 0) + p(0, 0);
+                  f(0, 0) += f(0, 1);
+                  r += p(0, 0);
+                },
+                ops::arg(w, ops::S_PT, ops::Acc::W),
+                ops::arg(vec, ops::S2D_5PT, ops::Acc::R),
+                ops::arg(pt, ops::S_PT, ops::Acc::R),
+                ops::arg(rw, ops::S2D_5PT, ops::Acc::RW),
+                ops::reduce(sum, ops::RedOp::Sum));
+  ASSERT_EQ(ctx.profiles.size(), 1u);
+  EXPECT_EQ(ctx.profiles[0].halo_depth, 1);
+  EXPECT_DOUBLE_EQ(ctx.profiles[0].halo_point_bytes, 3.0 * 8 + 4.0);
+}
+
+TEST_P(MpiHaloProfile, ModelOnlyRecordsTheHaloOfTheExecutedLoop) {
+  // The study records its MPI schedules model-only; they must carry the
+  // halo an executed sweep records.
+  auto record = [](ops::Backend be, ops::Mode mode) {
+    ops::Options o = exec_opts(be);
+    o.mode = mode;
+    ops::Context ctx(o);
+    ops::Block b(ctx, "grid", 3, {16, 16, 16});
+    ops::Dat<float> in(b, "in", 1, 4), out(b, "out", 1, 4);
+    ops::par_loop(ctx, {"star4"}, b, ops::Range::all(b),
+                  [](ops::ACC<float> ot, ops::ACC<float> a) {
+                    ot(0, 0, 0) = a(0, 4, 0) + a(0, -4, 0);
+                  },
+                  ops::arg(out, ops::S_PT, ops::Acc::W),
+                  ops::arg(in, ops::star(4, 3), ops::Acc::R));
+    return ctx.profiles.at(0);
+  };
+  const auto run = record(GetParam(), ops::Mode::Execute);
+  const auto model = record(GetParam(), ops::Mode::ModelOnly);
+  EXPECT_EQ(model.halo_depth, 4);
+  EXPECT_EQ(model.halo_depth, run.halo_depth);
+  EXPECT_DOUBLE_EQ(model.halo_point_bytes, run.halo_point_bytes);
+  EXPECT_EQ(model.extent, run.extent);
+  EXPECT_EQ(model.dims, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(MpiBackends, MpiHaloProfile,
+                         ::testing::Values(ops::Backend::MPI,
+                                           ops::Backend::MPIThreads),
+                         [](const auto& ti) {
+                           return backend_name(ti.param);
+                         });

@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 
+#include "hwmodel/comm_model.hpp"
+#include "hwmodel/platform.hpp"
 #include "study/study.hpp"
 #include "study/trace.hpp"
 
@@ -297,3 +302,77 @@ TEST(Study, MgcfdMpiVariantsShareSharedMemorySchedule) {
                                            Strategy::GlobalColor}),
             atomics);
 }
+
+// --- halo pricing of the MPI variants ---------------------------------------
+
+namespace {
+
+/// The MPI and MPI+OpenMP bars are the OPS apps' sweeps recorded under
+/// the MPI backends, plus one comm_model halo exchange per loop that
+/// reads through a stencil.
+class MpiSchedule : public ::testing::TestWithParam<AppId> {};
+
+}  // namespace
+
+TEST_P(MpiSchedule, RecordsHalosOnlyUnderTheMpiFamily) {
+  const AppId app = GetParam();
+  auto& r = runner();
+  const auto& mpi = r.schedule_for(app, kMpi);
+  EXPECT_EQ(&r.schedule_for(app, kMpiOmp), &mpi);  // one halo schedule
+  const auto& shared = r.schedule_for(app, kOsyclNd);
+  ASSERT_EQ(mpi.size(), shared.size());
+  int max_depth = 0;
+  for (std::size_t i = 0; i < mpi.size(); ++i) {
+    const auto& m = mpi[i];
+    const auto& s = shared[i];
+    EXPECT_EQ(m.name, s.name);
+    EXPECT_EQ(m.extent, s.extent);
+    EXPECT_DOUBLE_EQ(m.bytes_read, s.bytes_read);
+    EXPECT_DOUBLE_EQ(m.bytes_written, s.bytes_written);
+    EXPECT_EQ(s.halo_depth, 0) << s.name;
+    EXPECT_DOUBLE_EQ(s.halo_point_bytes, 0.0) << s.name;
+    // Radii are recorded from reads only, so the halo is the widest.
+    EXPECT_EQ(m.halo_depth,
+              std::max({m.radius_fast, m.radius_mid, m.radius_slow}))
+        << m.name;
+    EXPECT_EQ(m.halo_depth > 0, m.halo_point_bytes > 0.0) << m.name;
+    max_depth = std::max(max_depth, m.halo_depth);
+  }
+  EXPECT_GT(max_depth, 0);
+  if (app == AppId::RTM || app == AppId::Acoustic) {
+    EXPECT_EQ(max_depth, 4);  // the 8th-order, radius-4 star (paper §3)
+  }
+}
+
+TEST_P(MpiSchedule, HaloTimeIsTheSumOfPerLoopExchanges) {
+  const AppId app = GetParam();
+  const PlatformId p = PlatformId::GenoaX;
+  const auto& hwp = hw::platform(p);
+  const auto& sched = runner().schedule_for(app, kMpi);
+  for (const Variant& v : {kMpi, kMpiOmp}) {
+    const int ranks = hw::ranks_for(p, v);
+    double expect = 0.0;
+    for (const auto& lp : sched)
+      expect += hw::halo_exchange_time_s(
+          hwp, ranks, lp.dims, lp.extent, lp.halo_depth,
+          static_cast<std::size_t>(lp.halo_point_bytes));
+    const auto res = runner().run(app, p, v);
+    ASSERT_TRUE(res.ok()) << to_string(v);
+    EXPECT_GT(res.halo_s, 0.0) << to_string(v);
+    EXPECT_NEAR(res.halo_s, expect, 1e-12 * expect) << to_string(v);
+    // The same halo-bearing schedule priced as a shared-memory variant
+    // exchanges nothing.
+    const Variant omp{Model::OpenMP, Toolchain::Native};
+    const auto shared = study::aggregate_cell(sched, app, p, omp);
+    EXPECT_EQ(shared.halo_s, 0.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StructuredApps, MpiSchedule, ::testing::ValuesIn(kStructuredApps),
+    [](const auto& ti) {
+      std::string name;
+      for (char c : to_string(ti.param))
+        if (std::isalnum(static_cast<unsigned char>(c))) name += c;
+      return name;
+    });
